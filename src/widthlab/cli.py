@@ -21,7 +21,7 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--seed", type=int, default=None,
                       help="override every experiment seed")
     runp.add_argument("--jobs", type=int, default=1,
-                      help="parallel experiment granules (results are identical)")
+                      help="experiments run in parallel threads (results are identical)")
     runp.add_argument("--quiet", action="store_true", help="suppress progress lines")
     return parser
 

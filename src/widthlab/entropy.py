@@ -68,18 +68,13 @@ class PackingResult:
     maximal: bool = True
     exact: bool = False
 
-    def validate(self, slack: float = 0.0) -> bool:
+    def validate(self, K: CompactSetModel, slack: float = 0.0) -> bool:
+        """Strict eps-separation of the packing points, in the model's norm."""
         if self.cardinality <= 1:
             return True
-        D = _pairwise(self.points)
+        D = K.as_cloud().norm.pairwise(self.points)
         iu = np.triu_indices(self.cardinality, 1)
         return bool(np.all(D[iu] > self.epsilon - slack))
-
-
-def _pairwise(pts):
-    from scipy.spatial.distance import cdist
-
-    return cdist(pts, pts)
 
 
 class _Geom:
@@ -298,10 +293,7 @@ def _outer_pool(geom: _Geom, midpoint_limit: int = 80) -> np.ndarray:
         if mids:
             pool.append(np.asarray(mids))
     if geom.norm.is_euclidean:
-        from .spaces import minimum_enclosing_ball
-
-        c, _ = minimum_enclosing_ball(pts)
-        pool.append(c[None, :])
+        pool.append(geom.model.ball_center[None, :])
     return np.vstack(pool)
 
 

@@ -4,9 +4,9 @@ Configs are INI files: one section per experiment, flat key/value pairs.
 Outputs per run: ``results.csv`` (one bracket per row, fixed column order),
 ``verdicts.json`` (one object per inequality verdict), and one two-column
 plot-data file per fitted series.  Given the same config and seed the output
-files are byte-identical regardless of the jobs setting: every work granule
-derives its random stream from (seed, granule index) and rows are sorted on
-a deterministic key before writing.
+files are byte-identical regardless of the jobs setting: each experiment is
+one task whose random streams derive from its own section seed, and rows are
+sorted on a deterministic key before writing.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,6 +59,14 @@ _STOCHASTIC_KINDS = {"entropy", "linear-width", "nonlinear-width", "lipschitz",
 
 class ConfigError(ValueError):
     pass
+
+
+class _ExperimentFailed(Exception):
+    """A runtime error inside one experiment; the cause holds the original."""
+
+    def __init__(self, exp_id: str):
+        super().__init__(exp_id)
+        self.exp_id = exp_id
 
 
 @dataclass
@@ -496,7 +505,12 @@ def run(config_path: str | Path, out_dir: str | Path | None = None,
 
     def work(cfg: ExperimentConfig):
         t0 = time.perf_counter()
-        result = _RUNNERS[cfg.kind](cfg)
+        try:
+            result = _RUNNERS[cfg.kind](cfg)
+        except ConfigError:
+            raise
+        except Exception as exc:
+            raise _ExperimentFailed(cfg.exp_id) from exc
         elapsed = (time.perf_counter() - t0) * 1000
         if not quiet:
             print(f"[{cfg.exp_id}] {cfg.kind}: {len(result.rows)} rows, "
@@ -523,6 +537,10 @@ def run(config_path: str | Path, out_dir: str | Path | None = None,
         emit_report(rows, verdicts, out_dir, plots)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except _ExperimentFailed as exc:
+        print(f"runtime error in experiment [{exc.exp_id}]:", file=sys.stderr)
+        traceback.print_exception(exc.__cause__, file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive
         print(f"runtime error: {exc}", file=sys.stderr)

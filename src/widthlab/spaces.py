@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -247,6 +248,14 @@ class CompactSetModel:
     @property
     def size(self) -> int:
         return self.as_cloud().points.shape[0]
+
+    @cached_property
+    def ball_center(self) -> np.ndarray:
+        """Center of the euclidean minimum enclosing ball of the points,
+        computed once per model (read-only)."""
+        c, _ = minimum_enclosing_ball(self.as_cloud().points)
+        c.flags.writeable = False
+        return c
 
 
 def sup_norm(K: CompactSetModel) -> float:

@@ -72,11 +72,13 @@ def _check_frame(V: np.ndarray, tol: float = 1e-10):
 
 
 def _euclid_dists(P: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Distances of the rows of P to span(V); a stack of frames V (..., d, n)
+    gives a stack of distance rows."""
     # residual form: stable down to ~1e-16 relative when P lies in the span
-    if V.shape[1] == 0:
+    if V.shape[-1] == 0:
         return np.linalg.norm(P, axis=1)
-    R = P - (P @ V) @ V.T
-    return np.linalg.norm(R, axis=1)
+    R = P - (P @ V) @ V.swapaxes(-1, -2)
+    return np.linalg.norm(R, axis=-1)
 
 
 def _pnorm_dist(f: np.ndarray, V: np.ndarray, space: NormSpec, tol: float = 1e-10) -> float:
@@ -150,35 +152,47 @@ def _orthonormal_extend(V: np.ndarray, n: int) -> np.ndarray:
     return Q[:, :n]
 
 
-def _minimax_refine(P: np.ndarray, n: int, V0: np.ndarray, sweeps: int = 50) -> tuple[np.ndarray, float]:
-    """Softmax-weighted covariance reweighting with an annealed temperature.
+def _minimax_fit(P: np.ndarray, n: int, starts: list[np.ndarray], sweeps: int) -> tuple[np.ndarray, float]:
+    """Softmax-weighted covariance reweighting with an annealed temperature,
+    run from every starting frame at once as stacked arrays.
 
     Weights w_i grow with the current distance, so the fitted eigenspace
-    drifts toward the worst-approximated points; the temperature multiplies
-    by 0.7 each sweep starting from the initial maximal distance.
+    drifts toward the worst-approximated points; each start's temperature
+    begins at its initial maximal distance and multiplies by 0.7 each sweep.
+    The stacked matmul, eigh, exp and row reductions match their 2-d forms
+    bitwise, so every start follows the same sequence it would follow alone.
+    Returns the best frame over all starts and sweeps, the earliest start
+    winning ties.
     """
-    V = V0
-    dists = _euclid_dists(P, V)
-    best_V, best_val = V, float(dists.max())
-    tau = best_val
-    if tau <= 0:
-        return best_V, best_val
+    R, r = len(starts), P.shape[1]
+    dists = np.stack([_euclid_dists(P, V) for V in starts])
+    tau = dists.max(axis=1)
+    # a start with tau = 0 fits exactly already: no sweep can beat it
+    best_val = tau.copy()
+    best_vecs = np.empty((R, r, r))
+    improved = np.zeros(R, dtype=bool)
     for _ in range(sweeps):
-        z = (dists - dists.max()) / max(tau, 1e-300)
+        z = (dists - dists.max(axis=1, keepdims=True)) / np.maximum(tau, 1e-300)[:, None]
         # quantizing the exponents keeps the candidate sequence identical
         # under exact rescalings of the input (dilation equivariance)
         z = np.floor(np.maximum(z, -60.0) * 65536.0) / 65536.0
         w = np.exp(z)
-        w /= w.sum()
-        C = (P * w[:, None]).T @ P
+        w /= w.sum(axis=1, keepdims=True)
+        C = (P * w[:, :, None]).swapaxes(1, 2) @ P
         _, vecs = np.linalg.eigh(C)
-        V = vecs[:, ::-1][:, :n]
-        dists = _euclid_dists(P, V)
-        val = float(dists.max())
-        if val < best_val:
-            best_V, best_val = V, val
+        dists = _euclid_dists(P, vecs[:, :, ::-1][:, :, :n])
+        val = dists.max(axis=1)
+        better = val < best_val
+        best_val[better] = val[better]
+        best_vecs[better] = vecs[better]
+        improved |= better
         tau *= 0.7
-    return best_V, best_val
+    k = int(np.argmin(best_val))
+    if not improved[k]:
+        return starts[k], float(best_val[k])
+    # a view, not a contiguous copy: B @ V rounds differently for other
+    # strides, and these are the strides a single 2-d eigh gives
+    return best_vecs[k][:, ::-1][:, :n], float(best_val[k])
 
 
 def _line_candidates_2d(P: np.ndarray) -> np.ndarray:
@@ -293,16 +307,14 @@ def _fit_subspace(
             u, snap_val = _exact_line_2d(Q, grid=line_grid)
             V, exact = B @ u, True
         else:
-            V0 = np.eye(rank)[:, :n]
-            best_V, best_val = _minimax_refine(Q, n, V0, sweeps)
+            starts = [np.eye(rank)[:, :n]]
+            stream = _subset_seed(seed, (m, rank, n))
             for r in range(restarts):
-                rng = np.random.default_rng([_subset_seed(seed, (m, rank, n)), r])
-                G = rng.normal(size=(rank, n))
-                Vr, _ = np.linalg.qr(G)
-                Vc, val = _minimax_refine(Q, n, Vr[:, :n], sweeps)
-                if val < best_val:
-                    best_V, best_val = Vc, val
-            V, snap_val, exact = B @ best_V, best_val, False
+                rng = np.random.default_rng([stream, r])
+                Vr, _ = np.linalg.qr(rng.normal(size=(rank, n)))
+                starts.append(Vr[:, :n])
+            best_V, snap_val = _minimax_fit(Q, n, starts, sweeps)
+            V, exact = B @ best_V, False
     val = float(_euclid_dists(P, V).max())
     if exact and abs(val - scale * snap_val) > 1e-10 * max(1.0, val):
         exact = False

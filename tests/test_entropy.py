@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from widthlab import spaces
 from widthlab.entropy import (
+    PackingResult,
     cover_number,
     entropy_number,
     greedy_cover,
@@ -15,7 +17,14 @@ from widthlab.entropy import (
     min_cover_exact,
     packing_number,
 )
-from widthlab.spaces import CompactSetModel, chebyshev_radius, scale_set, sigma_value
+from widthlab.spaces import (
+    CompactSetModel,
+    NormSpec,
+    chebyshev_radius,
+    minimum_enclosing_ball,
+    scale_set,
+    sigma_value,
+)
 
 
 def exhaustive_min_cover(pts, eps, candidates=None):
@@ -111,8 +120,34 @@ def test_max_packing_vs_exhaustive():
         eps = float(rng.uniform(0.3, 1.5))
         res = max_packing(K, eps)
         assert res.exact
-        assert res.validate()
+        assert res.validate(K)
         assert res.cardinality == exhaustive_max_packing(pts, eps)
+
+
+def test_packing_validate_uses_model_norm():
+    pts = [[0.0, 0.0], [1.0, 1.0]]
+    res = PackingResult(1.2, np.asarray(pts), 2)
+    # 1.0 apart in the max norm, sqrt(2) apart in the euclidean norm
+    assert not res.validate(CompactSetModel.cloud(pts, NormSpec("max", 2)))
+    assert res.validate(CompactSetModel.cloud(pts))
+
+
+def test_outer_pool_ball_center_computed_once(monkeypatch):
+    pts = np.random.default_rng(17).normal(size=(12, 5))
+    assert np.array_equal(CompactSetModel.cloud(pts).ball_center,
+                          minimum_enclosing_ball(pts)[0])
+    calls = []
+
+    def counting(points, seed=0):
+        calls.append(1)
+        return minimum_enclosing_ball(points, seed)
+
+    monkeypatch.setattr(spaces, "minimum_enclosing_ball", counting)
+    K = CompactSetModel.cloud(pts)
+    for n in (1, 2):
+        entropy_number(K, n, inner=False)
+    cover_number(K, 1.0, inner=False)
+    assert len(calls) == 1
 
 
 def test_entropy_number_examples():

@@ -115,6 +115,16 @@ def test_width_chain_max_norm():
     assert v.status == HOLDS
 
 
+@pytest.mark.parametrize("seed", [205, 210])
+def test_width_chain_max_norm_excess_is_indeterminate(seed):
+    # both sides are descent upper bounds off the euclidean path, and here
+    # the fixed-width bound exceeds the width bound
+    pts = np.random.default_rng(seed).normal(size=(12, 3))
+    v = check_width_chain(CompactSetModel.cloud(pts, NormSpec("max", 3)), 1, 2)
+    assert v.status == INDETERMINATE
+    assert v.witness is not None
+
+
 def test_entropy_from_width_trivial_and_small():
     single = CompactSetModel.cloud([[0.2, 0.1]])
     v = check_entropy_from_width(single, 1, 1)

@@ -83,6 +83,19 @@ def test_empty_grid_exit_code(tmp_path):
     assert run(p, out_dir=tmp_path / "out") == 1
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_runtime_error_names_experiment(tmp_path, capsys, jobs):
+    p = tmp_path / "wide.cfg"
+    p.write_text("[fine]\nkind = ksigma-reproduce\nn_values = 1,2,3\n\n"
+                 "[too-wide]\nkind = linear-width\nset = cloud\ncloud_points = 5\n"
+                 "cloud_dim = 2\nn_values = 3\nseed = 1\n")
+    assert run(p, out_dir=tmp_path / "out", jobs=jobs, quiet=True) == 1
+    err = capsys.readouterr().err
+    assert "runtime error in experiment [too-wide]" in err
+    assert "Traceback (most recent call last)" in err
+    assert "n=3 exceeds ambient dimension 2" in err
+
+
 def test_missing_config_exit_code(tmp_path):
     assert run(tmp_path / "missing.cfg", out_dir=tmp_path / "out") == 1
 

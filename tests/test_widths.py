@@ -6,6 +6,9 @@ import pytest
 
 from widthlab.spaces import CompactSetModel, NormSpec, scale_set, sigma_value
 from widthlab.widths import (
+    _SNAP,
+    _fit_subspace,
+    _subset_seed,
     dist_to_subspace,
     ksigma_nonlinear_width_upper,
     linear_width,
@@ -179,3 +182,72 @@ def test_ksigma_nonlinear_numeric_below_closed_form():
     K = CompactSetModel.ksigma(1.0, truncation=17)
     res = nonlinear_width(K, 1, 4, seed=0)
     assert res.bracket.upper <= ksigma_nonlinear_width_upper(1.0, 1, 4) + 1e-8
+
+
+def _ref_dists(P, V):
+    return np.linalg.norm(P - (P @ V) @ V.T, axis=1)
+
+
+def _refine_one_start(P, n, V0, sweeps):
+    """Per-start minimax refinement, one start at a time (reference loop)."""
+    V = V0
+    dists = _ref_dists(P, V)
+    best_V, best_val = V, float(dists.max())
+    tau = best_val
+    if tau <= 0:
+        return best_V, best_val
+    for _ in range(sweeps):
+        z = (dists - dists.max()) / max(tau, 1e-300)
+        z = np.floor(np.maximum(z, -60.0) * 65536.0) / 65536.0
+        w = np.exp(z)
+        w /= w.sum()
+        C = (P * w[:, None]).T @ P
+        _, vecs = np.linalg.eigh(C)
+        V = vecs[:, ::-1][:, :n]
+        dists = _ref_dists(P, V)
+        val = float(dists.max())
+        if val < best_val:
+            best_V, best_val = V, val
+        tau *= 0.7
+    return best_V, best_val
+
+
+def _reference_fit(P, n, seed, restarts, sweeps):
+    """The minimax-refine path of _fit_subspace with sequential restarts."""
+    m = P.shape[0]
+    scale = float(np.max(np.linalg.norm(P, axis=1)))
+    C = np.round((P / scale) * _SNAP) / _SNAP
+    _, S, Vt = np.linalg.svd(C, full_matrices=False)
+    rank = int(np.sum(S > max(1e-13, S[0] * 1e-12)))
+    B = Vt[:rank].T
+    Q = C @ B
+    best_V, best_val = _refine_one_start(Q, n, np.eye(rank)[:, :n], sweeps)
+    for r in range(restarts):
+        rng = np.random.default_rng([_subset_seed(seed, (m, rank, n)), r])
+        Vr, _ = np.linalg.qr(rng.normal(size=(rank, n)))
+        Vc, val = _refine_one_start(Q, n, Vr[:, :n], sweeps)
+        if val < best_val:
+            best_V, best_val = Vc, val
+    V = B @ best_V
+    return V, float(_ref_dists(P, V).max())
+
+
+@pytest.mark.parametrize("m, d, n, restarts, sweeps, rank", [
+    (60, 6, 1, 32, 50, None),  # the winner's memory layout decides the last ulp here
+    (25, 4, 2, 32, 50, None),
+    (20, 6, 2, 32, 50, 4),  # rank-deficient
+    (25, 4, 2, 0, 50, None),
+    (16, 4, 1, 2, 20, None),  # the cluster-fit settings
+])
+def test_batched_fit_matches_sequential_restarts(m, d, n, restarts, sweeps, rank):
+    for trial in range(3):
+        rng = np.random.default_rng([31, m, d, trial])
+        if rank is None:
+            P = rng.normal(size=(m, d))
+        else:
+            P = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, d))
+        V, val, exact = _fit_subspace(P, n, trial, restarts, sweeps)
+        V_ref, val_ref = _reference_fit(P, n, trial, restarts, sweeps)
+        assert not exact
+        assert np.array_equal(V, V_ref)
+        assert val == val_ref
