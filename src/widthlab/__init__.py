@@ -49,7 +49,6 @@ from .lipschitz import (
     john_ellipsoid,
 )
 from .mterm import (
-    Dictionary,
     VPOperator,
     best_m_term,
     best_tail,

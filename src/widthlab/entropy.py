@@ -4,8 +4,14 @@ Covering balls are closed (distance <= eps); packings require strict
 separation (> eps).  Upper bounds come from a deterministic greedy cover
 (largest-norm-first, ties to the lowest point index); lower bounds come from
 packings at doubled radius or, on small instances, from an exact
-branch-and-bound set cover.  The coordinate sequence family additionally has
-closed-form paths.
+branch-and-bound set cover.  On those small instances an inner entropy
+number is a single pairwise distance, found by a binary search over the
+distinct distances and reported as an exact bracket [d, d].  The coordinate
+sequence family additionally has closed-form paths.
+
+Each public function builds one distance matrix and hands it to the private
+helpers; nothing is cached across calls, so a large cloud's matrix lives only
+as long as the call that needs it.
 """
 
 from __future__ import annotations
@@ -78,7 +84,8 @@ class PackingResult:
 
 
 class _Geom:
-    """Cached distances, norms, and greedy order for one cloud."""
+    """Distances, norms, and greedy order for one cloud, built once per public
+    call and handed to the private helpers."""
 
     def __init__(self, K: CompactSetModel):
         cloud = K.as_cloud()
@@ -93,6 +100,26 @@ class _Geom:
 
     def one_center_radius(self) -> float:
         return float(np.min(np.max(self.D, axis=1)))
+
+
+def _ball_masks(D: np.ndarray, eps: float) -> list[int]:
+    """Closed eps-balls as bitmasks: bit j of entry i is set iff D[i, j] <= eps."""
+    packed = np.packbits(D <= eps, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _bisect(pred, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Halve [lo, hi] around the switch of a monotone predicate (true moves
+    hi down, false moves lo up) until it is at most tol wide."""
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +169,9 @@ def _max_independent_set(adj: list[int], m: int) -> list[int]:
     """Exact maximum independent set over bitmask adjacency (small m)."""
     best: list[int] = []
 
-    def popcount(x: int) -> int:
-        return x.bit_count()
-
     def rec(cand: int, chosen: list[int]):
         nonlocal best
-        if len(chosen) + popcount(cand) <= len(best):
+        if len(chosen) + cand.bit_count() <= len(best):
             return
         if cand == 0:
             if len(chosen) > len(best):
@@ -159,7 +183,7 @@ def _max_independent_set(adj: list[int], m: int) -> list[int]:
         while c:
             b = c & -c
             i = b.bit_length() - 1
-            deg = popcount(adj[i] & cand)
+            deg = (adj[i] & cand).bit_count()
             if deg > vdeg:
                 v, vdeg = i, deg
             c ^= b
@@ -170,6 +194,17 @@ def _max_independent_set(adj: list[int], m: int) -> list[int]:
     return best
 
 
+def _max_packing(geom: _Geom, eps: float, exhaustive_limit: int) -> PackingResult:
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if geom.m > exhaustive_limit:
+        idx = _greedy_packing_indices(geom, eps)
+        return PackingResult(eps, geom.pts[idx], len(idx), True, exact=False)
+    adj = [mask & ~(1 << i) for i, mask in enumerate(_ball_masks(geom.D, eps))]
+    idx = _max_independent_set(adj, geom.m)
+    return PackingResult(eps, geom.pts[idx], len(idx), True, exact=True)
+
+
 def max_packing(
     K: CompactSetModel,
     eps: float,
@@ -178,24 +213,7 @@ def max_packing(
     """Maximal packing by lowest-index-first insertion; exact maximum by
     exhaustive search on clouds up to exhaustive_limit points.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    geom = _Geom(K)
-    greedy = _greedy_packing_indices(geom, eps)
-    if geom.m <= exhaustive_limit:
-        adj = []
-        for i in range(geom.m):
-            mask = 0
-            row = geom.D[i] <= eps
-            for j in range(geom.m):
-                if j != i and row[j]:
-                    mask |= 1 << j
-            adj.append(mask)
-        exact_idx = _max_independent_set(adj, geom.m)
-        if len(exact_idx) >= len(greedy):
-            return PackingResult(eps, geom.pts[exact_idx], len(exact_idx), True, exact=True)
-        return PackingResult(eps, geom.pts[greedy], len(greedy), True, exact=True)
-    return PackingResult(eps, geom.pts[greedy], len(greedy), True, exact=False)
+    return _max_packing(_Geom(K), eps, exhaustive_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +224,9 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _bnb_set_cover(sets: list[int], universe: int, budget: int, upper: list[int]):
-    """Minimum number of sets covering universe.  Returns (count, complete)."""
+def _bnb_set_cover(sets: list[int], universe: int, budget: int, best: int):
+    """Minimum number of sets covering universe, given a cover of size best.
+    Returns (count, complete)."""
     m_sets = len(sets)
     # element -> covering set indices
     elems = []
@@ -219,7 +238,6 @@ def _bnb_set_cover(sets: list[int], universe: int, budget: int, upper: list[int]
     covers_of = {el: [s for s in range(m_sets) if sets[s] >> el & 1] for el in elems}
     if any(not v for v in covers_of.values()):
         raise ValueError("universe element not coverable by any candidate")
-    best = len(upper)
     nodes = 0
     max_size = max(s.bit_count() for s in sets) if sets else 1
 
@@ -283,32 +301,59 @@ def _outer_pool(geom: _Geom, midpoint_limit: int = 80) -> np.ndarray:
     Midpoints are skipped above midpoint_limit points (pool size is quadratic).
     """
     pts = geom.pts
-    m = pts.shape[0]
     pool = [pts]
-    if m <= midpoint_limit:
-        mids = []
-        for i in range(m):
-            for j in range(i + 1, m):
-                mids.append(0.5 * (pts[i] + pts[j]))
-        if mids:
-            pool.append(np.asarray(mids))
+    if geom.m <= midpoint_limit:
+        i, j = np.triu_indices(geom.m, 1)
+        pool.append(0.5 * (pts[i] + pts[j]))
     if geom.norm.is_euclidean:
         pool.append(geom.model.ball_center[None, :])
     return np.vstack(pool)
 
 
-def _prune_dominated(sets: list[int], payload: list) -> tuple[list[int], list]:
+def _prune_dominated(sets: list[int]) -> list[int]:
     """Drop cover sets that are subsets of another (keeps the first maximal)."""
-    order = sorted(range(len(sets)), key=lambda i: -sets[i].bit_count())
-    kept_sets: list[int] = []
-    kept_payload: list = []
-    for i in order:
-        s = sets[i]
-        if any(s & ~t == 0 for t in kept_sets):
-            continue
-        kept_sets.append(s)
-        kept_payload.append(payload[i])
-    return kept_sets, kept_payload
+    kept: list[int] = []
+    for s in sorted(sets, key=lambda s: -s.bit_count()):
+        if not any(s & ~t == 0 for t in kept):
+            kept.append(s)
+    return kept
+
+
+def _inner_cover_bnb(geom: _Geom, eps: float, budget: int):
+    """Fewest eps-balls centred at set points, by branch and bound from the
+    greedy cover.  Returns (count, complete)."""
+    sets = _prune_dominated(_ball_masks(geom.D, eps))
+    greedy = len(_greedy_cover_indices(geom, eps))
+    return _bnb_set_cover(sets, (1 << geom.m) - 1, budget, greedy)
+
+
+def _min_cover(geom: _Geom, eps: float, inner: bool, node_budget: int) -> Bracket:
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    lower = max(len(_greedy_packing_indices(geom, 2 * eps)), 1)
+    if inner:
+        count, complete = _inner_cover_bnb(geom, eps, node_budget)
+        if complete:
+            v = float(count)
+            return Bracket(v, v, exact=True,
+                           lower_method="branch-bound", upper_method="branch-bound")
+        return Bracket(float(min(lower, count)), float(count), exact=False,
+                       lower_method="packing-2eps", upper_method="greedy|branch-bound-partial")
+
+    upper = len(_greedy_cover_indices(geom, eps))
+    Dp = geom.norm.pairwise(_outer_pool(geom), geom.pts)
+    upper = min(upper, _greedy_set_cover_count(Dp <= eps))
+    count, complete = _bnb_set_cover(
+        _prune_dominated(_ball_masks(Dp, eps)), (1 << geom.m) - 1, node_budget, upper
+    )
+    upper = min(upper, count)
+    return Bracket(
+        float(min(lower, upper)),
+        float(upper),
+        exact=False,
+        lower_method="packing-2eps",
+        upper_method="pool-branch-bound" if complete else "pool-branch-bound-partial",
+    )
 
 
 def min_cover_exact(
@@ -324,61 +369,9 @@ def min_cover_exact(
     finite candidate pool (points, pairwise midpoints, enclosing-ball center),
     so the result is an upper-bound bracket and is never flagged exact.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    geom = _Geom(K)
-    if geom.m > 500:
+    if K.size > 500:
         raise ValueError("min_cover_exact supports clouds with at most 500 points")
-    universe = (1 << geom.m) - 1
-
-    greedy_idx = _greedy_cover_indices(geom, eps)
-    pack2 = len(_greedy_packing_indices(geom, 2 * eps))
-    lower = max(pack2, 1)
-    upper = len(greedy_idx)
-
-    if inner:
-        sets = []
-        for i in range(geom.m):
-            row = geom.D[i] <= eps
-            mask = 0
-            for j in range(geom.m):
-                if row[j]:
-                    mask |= 1 << j
-            sets.append(mask)
-        sets, _ = _prune_dominated(sets, list(range(geom.m)))
-        count, complete = _bnb_set_cover(sets, universe, node_budget, greedy_idx)
-        if complete:
-            v = float(count)
-            return Bracket(v, v, exact=True,
-                           lower_method="branch-bound", upper_method="branch-bound")
-        upper = min(upper, count)
-        return Bracket(float(min(lower, upper)), float(upper), exact=False,
-                       lower_method="packing-2eps", upper_method="greedy|branch-bound-partial")
-
-    pool = _outer_pool(geom)
-    Dp = geom.norm.pairwise(pool, geom.pts)
-    pool_greedy = _greedy_set_cover_count(Dp <= eps)
-    sets = []
-    for r in range(pool.shape[0]):
-        row = Dp[r] <= eps
-        mask = 0
-        for j in range(geom.m):
-            if row[j]:
-                mask |= 1 << j
-        if mask:
-            sets.append(mask)
-    sets, _ = _prune_dominated(sets, list(range(len(sets))))
-    count, complete = _bnb_set_cover(
-        sets, universe, node_budget, list(range(min(upper, pool_greedy)))
-    )
-    upper = min(upper, pool_greedy, count)
-    return Bracket(
-        float(min(lower, upper)),
-        float(upper),
-        exact=False,
-        lower_method="packing-2eps",
-        upper_method="pool-branch-bound" if complete else "pool-branch-bound-partial",
-    )
+    return _min_cover(_Geom(K), eps, inner, node_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +388,7 @@ def cover_number(
     """Bracket on the minimal (inner) eps-covering number."""
     geom = _Geom(K)
     if geom.m <= exact_limit:
-        return min_cover_exact(K, eps, inner=inner, node_budget=node_budget)
+        return _min_cover(geom, eps, inner, node_budget)
     upper = len(_greedy_cover_indices(geom, eps))
     lower = max(len(_greedy_packing_indices(geom, 2 * eps)), 1)
     return Bracket(float(min(lower, upper)), float(upper), exact=False,
@@ -408,41 +401,24 @@ def packing_number(
     exhaustive_limit: int = EXHAUSTIVE_PACKING_LIMIT,
 ) -> Bracket:
     """Bracket on the maximal eps-packing cardinality."""
-    if K.is_ksigma and K.kind != "cloud":
-        K = K.as_cloud()
     if K.is_ksigma:
         v = float(ksigma_packing_count(K, eps))
         return Bracket(v, v, exact=True,
                        lower_method="sequence-closed-form",
                        upper_method="sequence-closed-form")
-    res = max_packing(K, eps, exhaustive_limit=exhaustive_limit)
+    geom = _Geom(K)
+    res = _max_packing(geom, eps, exhaustive_limit)
     if res.exact:
         v = float(res.cardinality)
         return Bracket(v, v, exact=True,
                        lower_method="exhaustive", upper_method="exhaustive")
-    geom = _Geom(K)
-    upper = len(_greedy_cover_indices(geom, eps / 2))
-    upper = max(upper, res.cardinality)
+    upper = max(len(_greedy_cover_indices(geom, eps / 2)), res.cardinality)
     return Bracket(float(res.cardinality), float(upper), exact=False,
                    lower_method="greedy-packing", upper_method="half-radius-cover")
 
 
 # ---------------------------------------------------------------------------
 # entropy numbers
-
-
-def _exact_cover_count(geom: _Geom, eps: float, budget: int):
-    sets = []
-    for i in range(geom.m):
-        row = geom.D[i] <= eps
-        mask = 0
-        for j in range(geom.m):
-            if row[j]:
-                mask |= 1 << j
-        sets.append(mask)
-    sets, _ = _prune_dominated(sets, list(range(geom.m)))
-    greedy_idx = _greedy_cover_indices(geom, eps)
-    return _bnb_set_cover(sets, (1 << geom.m) - 1, budget, greedy_idx)
 
 
 def entropy_number(
@@ -456,11 +432,14 @@ def entropy_number(
     """Bracket on the n-th (inner) entropy number: the radius threshold at
     which 2^n balls suffice.
 
-    The upper side binary-searches the greedy cover (plus, for outer numbers
-    on small clouds, the candidate-pool cover); the lower side keeps the
-    largest radius at which a certificate (exact cover count or packing at
-    doubled radius) shows that 2^n balls cannot suffice.  Exact flag requires
-    the branch-and-bound path to complete on both sides.
+    Inner numbers of clouds with at most exact_limit points are a pairwise
+    distance: a binary search over the sorted distinct distances, deciding
+    each by an exact branch-and-bound cover count, returns it as an exact
+    bracket.  Otherwise, or when a count exhausts node_budget, the upper side
+    bisects the greedy cover (plus, for outer numbers on small clouds, the
+    candidate-pool cover) and the lower side keeps the largest radius at
+    which a packing at doubled radius shows that 2^n balls cannot suffice,
+    both to width tol.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -471,44 +450,29 @@ def entropy_number(
                        lower_method="ball-per-point", upper_method="ball-per-point")
 
     hi0 = geom.one_center_radius()
-    exact_mode = inner and geom.m <= exact_limit
-    budget_blown = False
-
-    if exact_mode:
-        def feasible(eps: float):
-            nonlocal budget_blown
-            count, complete = _exact_cover_count(geom, eps, node_budget)
+    if inner and geom.m <= exact_limit:
+        # one ball on the one-center point covers at hi0, so the threshold is
+        # the least distance up to hi0 at which 2^n balls cover
+        spectrum = np.unique(geom.D)
+        lo, hi = 0, int(np.searchsorted(spectrum, hi0))
+        while lo < hi:
+            mid = (lo + hi) // 2
+            count, complete = _inner_cover_bnb(geom, spectrum[mid], node_budget)
             if not complete:
-                budget_blown = True
-            return count <= target, complete
-
-        lo, hi = 0.0, hi0
-        ok_hi, comp = feasible(hi)
-        all_complete = comp
-        if not ok_hi:
-            hi = float(geom.D.max()) * (1 + 1e-9) + 1e-12
-            ok_hi, comp = feasible(hi)
-            all_complete &= comp
-        for _ in range(200):
-            if hi - lo <= tol or budget_blown:
-                break
-            mid = 0.5 * (lo + hi)
-            ok, comp = feasible(mid)
-            all_complete &= comp
-            if ok:
+                break  # fall through to the heuristic path
+            if count <= target:
                 hi = mid
             else:
-                lo = mid
-        if not budget_blown and all_complete:
-            return Bracket(lo, hi, exact=(hi - lo) <= 1e-9 * max(1.0, hi),
+                lo = mid + 1
+        else:
+            d = float(spectrum[hi])
+            return Bracket(d, d, exact=True,
                            lower_method="branch-bound", upper_method="branch-bound")
-        # fall through to the heuristic path on budget exhaustion
 
     small_outer = (not inner) and geom.m <= exact_limit
     pool_dists = None
     if small_outer:
-        pool = _outer_pool(geom)
-        pool_dists = geom.norm.pairwise(pool, geom.pts)
+        pool_dists = geom.norm.pairwise(_outer_pool(geom), geom.pts)
 
     def upper_feasible(eps: float) -> bool:
         cnt = len(_greedy_cover_indices(geom, eps, stop_after=target))
@@ -518,39 +482,16 @@ def entropy_number(
             return _greedy_set_cover_count(pool_dists <= eps, stop_after=target) <= target
         return False
 
-    lo, hi = 0.0, hi0
-    if not upper_feasible(hi):
-        # a single greedy ball of diameter radius always covers
-        hi = float(geom.D.max()) * (1 + 1e-9) + 1e-12
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if upper_feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    upper = hi
+    # a single greedy ball of diameter radius always covers
+    hi = hi0 if upper_feasible(hi0) else float(geom.D.max()) * (1 + 1e-9) + 1e-12
+    upper = _bisect(upper_feasible, 0.0, hi, tol)[1]
 
-    def cert_exceeds(eps: float) -> bool:
+    def no_certificate(eps: float) -> bool:
         # any 2eps-packing larger than the ball budget rules the radius out
-        pack = len(_greedy_packing_indices(geom, 2 * eps))
-        return pack > target
+        return len(_greedy_packing_indices(geom, 2 * eps)) <= target
 
-    lo, hi = 0.0, upper
-    if not cert_exceeds(lo + min(tol, upper) * 1e-3):
-        lower = 0.0
-    else:
-        lo = lo + min(tol, upper) * 1e-3
-        for _ in range(200):
-            if hi - lo <= tol:
-                break
-            mid = 0.5 * (lo + hi)
-            if cert_exceeds(mid):
-                lo = mid
-            else:
-                hi = mid
-        lower = lo
+    start = min(tol, upper) * 1e-3
+    lower = 0.0 if no_certificate(start) else _bisect(no_certificate, start, upper, tol)[0]
     lower = min(lower, upper)
     return Bracket(lower, upper, exact=False,
                    lower_method="packing-cert",

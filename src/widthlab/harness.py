@@ -33,7 +33,9 @@ __all__ = [
     "bracket_leq",
     "witness_envelope",
     "packing_cover_sandwich",
+    "packing_cover_sandwich_verdicts",
     "entropy_sandwich",
+    "entropy_sandwich_verdicts",
     "ksigma_entropy_series",
     "ksigma_inner_entropy_series",
     "ksigma_linear_width_series",
@@ -473,34 +475,39 @@ def check_lower_bound_theorems(e_series, w_series, alpha: float,
 # sandwich suites
 
 
+def packing_cover_sandwich_verdicts(eps: float, p_eps: Bracket, cover: Bracket,
+                                    p_2eps: Bracket) -> list[Verdict]:
+    """P_eps >= N_eps >= P_2eps on the brackets of one radius."""
+    return [
+        Verdict("packing-cover-sandwich", bracket_leq(cover, p_eps), None, (0, 0),
+                f"eps={eps:g}: inner cover <= packing"),
+        Verdict("packing-cover-sandwich", bracket_leq(p_2eps, cover), None, (0, 0),
+                f"eps={eps:g}: doubled packing <= inner cover"),
+    ]
+
+
+def entropy_sandwich_verdicts(n: int, outer: Bracket, inner: Bracket) -> list[Verdict]:
+    """e_n <= inner e_n <= 2 e_n on the brackets of one order."""
+    doubled = Bracket(2 * outer.lower, 2 * outer.upper, exact=False,
+                      lower_method=outer.lower_method, upper_method=outer.upper_method)
+    return [
+        Verdict("entropy-sandwich", bracket_leq(outer, inner), None, (n, n),
+                f"n={n}: outer <= inner"),
+        Verdict("entropy-sandwich", bracket_leq(inner, doubled), None, (n, n),
+                f"n={n}: inner <= doubled outer"),
+    ]
+
+
 def packing_cover_sandwich(K: CompactSetModel, eps_list) -> list[Verdict]:
     """P_eps >= N_eps >= P_2eps on count brackets, tri-state per radius."""
-    out = []
-    for eps in eps_list:
-        p1 = packing_number(K, eps)
-        nc = cover_number(K, eps, inner=True)
-        p2 = packing_number(K, 2 * eps)
-        s1 = bracket_leq(nc, p1)
-        s2 = bracket_leq(p2, nc)
-        out.append(Verdict("packing-cover-sandwich", s1, None, (0, 0),
-                           f"eps={eps:g}: inner cover <= packing"))
-        out.append(Verdict("packing-cover-sandwich", s2, None, (0, 0),
-                           f"eps={eps:g}: doubled packing <= inner cover"))
-    return out
+    return [v for eps in eps_list
+            for v in packing_cover_sandwich_verdicts(
+                eps, packing_number(K, eps), cover_number(K, eps, inner=True),
+                packing_number(K, 2 * eps))]
 
 
 def entropy_sandwich(K: CompactSetModel, n_list) -> list[Verdict]:
     """e_n <= inner e_n <= 2 e_n on entropy brackets, tri-state per order."""
-    out = []
-    for n in n_list:
-        e = entropy_number(K, n, inner=False)
-        te = entropy_number(K, n, inner=True)
-        doubled = Bracket(2 * e.lower, 2 * e.upper, exact=False,
-                          lower_method=e.lower_method, upper_method=e.upper_method)
-        s1 = bracket_leq(e, te)
-        s2 = bracket_leq(te, doubled)
-        out.append(Verdict("entropy-sandwich", s1, None, (n, n),
-                           f"n={n}: outer <= inner"))
-        out.append(Verdict("entropy-sandwich", s2, None, (n, n),
-                           f"n={n}: inner <= doubled outer"))
-    return out
+    return [v for n in n_list
+            for v in entropy_sandwich_verdicts(
+                n, entropy_number(K, n, inner=False), entropy_number(K, n, inner=True))]

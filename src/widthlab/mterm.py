@@ -16,7 +16,6 @@ import numpy as np
 from .harness import HOLDS, VIOLATED, Verdict
 
 __all__ = [
-    "Dictionary",
     "VPOperator",
     "best_tail",
     "best_m_term",
@@ -27,19 +26,6 @@ __all__ = [
 
 # witness base for the binomial bound C(M, m) <= (base * M / m)^m
 STIRLING_BASE = math.e
-
-
-@dataclass(frozen=True)
-class Dictionary:
-    """Finite view of an orthonormal system plus member coefficient sets."""
-
-    size: int
-    members: np.ndarray  # (count, size)
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", np.atleast_2d(np.asarray(self.members, dtype=float)))
-        if self.members.shape[1] != self.size:
-            raise ValueError("member length does not match the dictionary size")
 
 
 @dataclass(frozen=True)

@@ -223,24 +223,27 @@ def _run_entropy(cfg: ExperimentConfig) -> _Output:
     K = build_set(cfg)
     ns = _parse_values(cfg.options.get("n_values", "0,1,2"))
     sides = cfg.options.get("sides", "both")
+    # the sandwich checks reuse the reported brackets
     for n in ns:
+        inner = ent.entropy_number(K, n, inner=True)
+        outer = ent.entropy_number(K, n, inner=False)
         if sides in ("inner", "both"):
-            _bracket_row(out, cfg, K, n, None, "inner_entropy",
-                         ent.entropy_number(K, n, inner=True), cfg.seed)
+            _bracket_row(out, cfg, K, n, None, "inner_entropy", inner, cfg.seed)
         if sides in ("outer", "both"):
-            _bracket_row(out, cfg, K, n, None, "outer_entropy",
-                         ent.entropy_number(K, n, inner=False), cfg.seed)
-    for v in harness.entropy_sandwich(K, ns):
-        _add_verdict(out, cfg, v)
-    if "eps_values" in cfg.options:
-        eps_list = _parse_values(cfg.options["eps_values"], float)
-        for eps in eps_list:
-            _bracket_row(out, cfg, K, None, None, f"cover_number(eps={eps:g})",
-                         ent.cover_number(K, eps, inner=True), cfg.seed)
-            _bracket_row(out, cfg, K, None, None, f"packing_number(eps={eps:g})",
-                         ent.packing_number(K, eps), cfg.seed)
-        for v in harness.packing_cover_sandwich(K, eps_list):
+            _bracket_row(out, cfg, K, n, None, "outer_entropy", outer, cfg.seed)
+        for v in harness.entropy_sandwich_verdicts(n, outer, inner):
             _add_verdict(out, cfg, v)
+    if "eps_values" in cfg.options:
+        for eps in _parse_values(cfg.options["eps_values"], float):
+            cover = ent.cover_number(K, eps, inner=True)
+            packing = ent.packing_number(K, eps)
+            _bracket_row(out, cfg, K, None, None, f"cover_number(eps={eps:g})",
+                         cover, cfg.seed)
+            _bracket_row(out, cfg, K, None, None, f"packing_number(eps={eps:g})",
+                         packing, cfg.seed)
+            for v in harness.packing_cover_sandwich_verdicts(
+                    eps, packing, cover, ent.packing_number(K, 2 * eps)):
+                _add_verdict(out, cfg, v)
     return out
 
 

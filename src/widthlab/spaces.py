@@ -228,8 +228,12 @@ class CompactSetModel:
 
     def as_cloud(self) -> "CompactSetModel":
         """Embed the sequence family as s_j e_j (j = 1..J) plus 0 in R^J."""
-        if self.kind == "cloud":
-            return self
+        return self if self.kind == "cloud" else self._embedding
+
+    @cached_property
+    def _embedding(self) -> "CompactSetModel":
+        """The sequence family's cloud, built once per model so that per-model
+        caches such as ``ball_center`` carry across calls."""
         J = self.truncation
         pts = np.zeros((J + 1, J))
         s = self.sigmas()
@@ -368,8 +372,10 @@ def _chebyshev_descent(pts: np.ndarray, norm: NormSpec, sweeps: int = 200) -> tu
 def chebyshev_radius(K: CompactSetModel) -> Bracket:
     """Radius of the smallest enclosing ball, center ranging over the ambient space.
 
-    Exact for euclidean clouds; other norms get a descent upper bound paired
-    with the half-diameter lower bound.
+    Exact for euclidean clouds and for the max norm, where it is half the
+    largest coordinate range (the center sits at the coordinate midranges);
+    other norms get a descent upper bound paired with the half-diameter lower
+    bound.
     """
     K = K.as_cloud()
     if K.kind != "cloud":
@@ -380,6 +386,10 @@ def chebyshev_radius(K: CompactSetModel) -> Bracket:
     if K.norm.is_euclidean:
         _, r = minimum_enclosing_ball(pts)
         return Bracket(r, r, exact=True, lower_method="meb-welzl", upper_method="meb-welzl")
+    if K.norm.kind == "max":
+        r = float(np.ptp(pts, axis=0).max()) / 2
+        return Bracket(r, r, exact=True,
+                       lower_method="half-diameter", upper_method="midrange-center")
     _, upper = _chebyshev_descent(pts, K.norm)
     lower = 0.5 * float(np.max(K.norm.pairwise(pts)))
     upper = max(upper, lower)

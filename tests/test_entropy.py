@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from widthlab import spaces
+from widthlab import entropy, spaces
 from widthlab.entropy import (
     PackingResult,
     cover_number,
@@ -257,3 +259,115 @@ def test_packing_number_bracket():
     assert not br.exact  # above the exhaustive limit
     small = CompactSetModel.cloud(rng.normal(size=(12, 3)))
     assert packing_number(small, 0.8).exact
+
+
+def brute_inner_entropy(D, n):
+    """Least distance d of the spectrum at which 2^n closed d-balls centred at
+    set points cover the set (exhaustive over center subsets)."""
+    m = len(D)
+    k = min(1 << n, m)
+    for d in np.unique(D):
+        within = D <= d
+        if any(within[:, list(c)].any(axis=1).all()
+               for c in itertools.combinations(range(m), k)):
+            return float(d)
+
+
+TINY_NORMS = [NormSpec("euclidean", 2), NormSpec("max", 2), NormSpec("pnorm", 2, p=1.5)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.floats(-4, 4), st.floats(-4, 4)), min_size=2, max_size=9),
+    st.sampled_from(TINY_NORMS),
+)
+def test_inner_entropy_brackets_hold_brute_force(pts, norm):
+    K = CompactSetModel.cloud(pts, norm)
+    D = norm.pairwise(K.points)
+    for n in range(0, math.ceil(math.log2(len(pts))) + 1):
+        value = brute_inner_entropy(D, n)
+        exact = entropy_number(K, n, inner=True)
+        assert exact.exact and exact.lower == exact.upper == value
+        assert entropy_number(K, n, inner=True, exact_limit=0).contains(value)
+
+
+def test_ball_masks_match_loop():
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        m, c = rng.integers(1, 90, size=2)
+        D = rng.uniform(size=(m, c))
+        eps = float(rng.uniform())
+        loop = []
+        for row in D:
+            mask = 0
+            for j in range(c):
+                if row[j] <= eps:
+                    mask |= 1 << j
+            loop.append(mask)
+        assert entropy._ball_masks(D, eps) == loop
+
+
+def test_exact_entropy_searches_the_distance_spectrum(monkeypatch):
+    calls = []
+    bnb = entropy._inner_cover_bnb
+
+    def counting(geom, eps, budget):
+        calls.append(eps)
+        return bnb(geom, eps, budget)
+
+    monkeypatch.setattr(entropy, "_inner_cover_bnb", counting)
+    rng = np.random.default_rng(13)
+    for m in (12, 25, 40):
+        K = CompactSetModel.cloud(rng.normal(size=(m, 3)))
+        distinct = len(np.unique(K.norm.pairwise(K.points)))
+        for n in (1, 2, 3):
+            calls.clear()
+            br = entropy_number(K, n, inner=True)
+            assert br.exact and br.upper in K.norm.pairwise(K.points)
+            assert len(calls) <= math.ceil(math.log2(distinct)) + 1
+
+
+def count_pairwise(monkeypatch):
+    calls = []
+    pairwise = NormSpec.pairwise
+
+    def counting(self, pts, other=None):
+        calls.append(other is None)
+        return pairwise(self, pts, other)
+
+    monkeypatch.setattr(NormSpec, "pairwise", counting)
+    return calls
+
+
+def test_cover_and_packing_build_one_distance_matrix(monkeypatch):
+    calls = count_pairwise(monkeypatch)
+    rng = np.random.default_rng(8)
+    for m in (12, 30, 60):
+        K = CompactSetModel.cloud(rng.normal(size=(m, 3)))
+        for fn in (cover_number, packing_number):
+            calls.clear()
+            fn(K, 0.8)
+            assert calls == [True]
+
+
+def test_min_cover_exact_fails_before_distances(monkeypatch):
+    calls = count_pairwise(monkeypatch)
+    K = CompactSetModel.cloud(np.random.default_rng(0).normal(size=(501, 2)))
+    with pytest.raises(ValueError, match="at most 500 points"):
+        min_cover_exact(K, 0.5)
+    assert calls == []
+
+
+def test_sequence_embedding_is_cached(monkeypatch):
+    calls = []
+
+    def counting(points, seed=0):
+        calls.append(1)
+        return minimum_enclosing_ball(points, seed)
+
+    monkeypatch.setattr(spaces, "minimum_enclosing_ball", counting)
+    K = CompactSetModel.ksigma(1.0, 24)
+    assert K.as_cloud() is K.as_cloud()
+    for n in (1, 2, 3):
+        entropy_number(K, n, inner=False)
+    assert len(calls) == 1

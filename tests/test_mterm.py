@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from widthlab.harness import HOLDS, VIOLATED
 from widthlab.mterm import (
     STIRLING_BASE,
-    Dictionary,
     VPOperator,
     best_m_term,
     best_tail,
@@ -97,6 +96,8 @@ def test_sigma_chain_random_sets():
         members = rng.normal(size=(rng.integers(1, 6), 64))
         v = check_sigma_chain(members, V, m=4)
         assert v.status == HOLDS
+    members = np.random.default_rng(2).normal(size=(4, 8))
+    assert check_sigma_chain(members, VPOperator(n_k=2, A2=2.0), m=2).status == HOLDS
 
 
 def test_sigma_chain_binomial_witness():
@@ -114,16 +115,3 @@ def test_sigma_chain_precondition():
         check_sigma_chain(np.ones(16), V, m=1)
     with pytest.raises(ValueError):
         check_sigma_chain(np.ones(16), V, m=8)
-
-
-def test_dictionary_container():
-    rng = np.random.default_rng(2)
-    members = rng.normal(size=(4, 8))
-    D = Dictionary(size=8, members=members)
-    # coefficient-vector norm is the expansion norm in an orthonormal system
-    assert np.allclose(np.linalg.norm(D.members, axis=1),
-                       [np.linalg.norm(f) for f in members])
-    with pytest.raises(ValueError):
-        Dictionary(size=9, members=members)
-    v = check_sigma_chain(D.members, VPOperator(n_k=2, A2=2.0), m=2)
-    assert v.status == HOLDS

@@ -118,10 +118,22 @@ def test_chebyshev_vs_grid_random():
 def test_chebyshev_max_norm_bracket():
     K = CompactSetModel.cloud([[1, 0], [0, 1], [-1, 0]], NormSpec("max", 2))
     br = chebyshev_radius(K)
-    assert br.lower <= br.upper
-    assert not br.exact
-    # center 0 gives radius 1 in max-norm; descent should not do worse
-    assert br.upper <= 1.0 + 1e-9
+    # half the largest coordinate range (x spans [-1, 1]); center 0 attains it
+    assert br.exact
+    assert br.lower == br.upper == 1.0
+
+
+def test_chebyshev_max_norm_is_half_the_largest_range():
+    rng = np.random.default_rng(21)
+    for m, d in ((2, 1), (15, 3), (300, 5)):
+        P = rng.normal(size=(m, d)) * rng.uniform(0.5, 3.0, size=d)
+        K = CompactSetModel.cloud(P, NormSpec("max", d))
+        br = chebyshev_radius(K)
+        r = float(np.ptp(P, axis=0).max()) / 2
+        assert br.exact and br.lower == br.upper == r
+        # the coordinate midranges attain it
+        mid = 0.5 * (P.min(axis=0) + P.max(axis=0))
+        assert np.max(np.abs(P - mid)) == pytest.approx(r, rel=1e-15)
 
 
 def test_chebyshev_leq_sup_norm():
