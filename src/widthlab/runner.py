@@ -175,7 +175,10 @@ def build_set(cfg: ExperimentConfig) -> CompactSetModel:
         elif norm_text == "max":
             norm = NormSpec("max", d)
         elif norm_text.startswith("p:"):
-            norm = NormSpec("pnorm", d, p=float(norm_text[2:]))
+            try:
+                norm = NormSpec("pnorm", d, p=float(norm_text[2:]))
+            except ValueError as exc:
+                raise ConfigError(f"[{cfg.exp_id}] cloud_norm: {norm_text!r}: {exc}") from None
         else:
             raise ConfigError(f"[{cfg.exp_id}] cloud_norm: unknown norm {norm_text!r}")
         rng = np.random.default_rng([cfg.seed, 0])

@@ -38,7 +38,7 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class NormSpec:
-    """A norm on R^dim: euclidean, an l_p norm with 1 < p < inf, or max-norm."""
+    """A norm on R^dim: euclidean, an l_p norm with 1 <= p < inf, or max-norm."""
 
     kind: str  # "euclidean" | "pnorm" | "max"
     dim: int
@@ -50,8 +50,9 @@ class NormSpec:
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
         if self.kind == "pnorm":
-            if self.p is None or not (self.p >= 1.0):
-                raise ValueError("pnorm requires exponent p >= 1")
+            if self.p is None or not (1.0 <= self.p < math.inf):
+                raise ValueError(
+                    'pnorm requires an exponent 1 <= p < inf; use kind="max" for p = inf')
 
     @property
     def is_euclidean(self) -> bool:

@@ -3,9 +3,12 @@
 Upper bounds come from seeded heuristics (spectral initialization plus a
 softmax-reweighted minimax refinement; alternating fit/assign for subspace
 families), lower bounds from the mean-square spectral argument
-d_n >= sqrt(sum_{j>n} s_j^2 / m).  Tiny instances get exact paths: rank
-reduction, a candidate-exact minimax line in the plane, and full assignment
-enumeration for families.
+d_n >= sqrt(sum_{j>n} s_j^2 / m).  Exact paths: rank reduction, full
+assignment enumeration for tiny families, and the minimax line through 0 in
+the plane.  That line is searched over a finite set, the directions u with
+u || x_i - x_j, u || x_i + x_j or u || x_i.  Each distance |x_i x u| is
+concave in the angle between its zeros, so the minimum of their maximum lies
+where two of them cross or one vanishes, and those are the directions above.
 """
 
 from __future__ import annotations
@@ -30,6 +33,11 @@ __all__ = [
 NONLINEAR_GUARD = 10_000
 ENUM_POINT_LIMIT = 9
 ENUM_FAMILY_LIMIT = 3
+# directions scored at once by the planar line search: O(_LINE_BLOCK * m) memory
+_LINE_BLOCK = 1024
+# starts and sweeps of every cluster fit in the family searches
+_CLUSTER_RESTARTS = 2
+_CLUSTER_SWEEPS = 20
 
 
 @dataclass(frozen=True)
@@ -195,69 +203,24 @@ def _minimax_fit(P: np.ndarray, n: int, starts: list[np.ndarray], sweeps: int) -
     return best_vecs[k][:, ::-1][:, :n], float(best_val[k])
 
 
-def _line_candidates_2d(P: np.ndarray) -> np.ndarray:
-    """Candidate directions for the exact minimax line in the plane:
-    crossings of pairs ((u.x_i)^2 = (u.x_j)^2) and stationary directions.
+def _exact_line_2d(P: np.ndarray) -> tuple[np.ndarray, float]:
+    """Exact minimax line through 0 for points in R^2: the at most m^2
+    directions where two distances |x_i x u| cross or one vanishes (module
+    docstring), scored in blocks of _LINE_BLOCK; the first strict minimum wins.
     """
-    dirs = [P]
-    m = len(P)
-    diffs, sums = [], []
-    for i in range(m):
-        for j in range(i + 1, m):
-            diffs.append(P[i] - P[j])
-            sums.append(P[i] + P[j])
-    for w in diffs + sums:
-        dirs.append(np.array([[-w[1], w[0]]]))
-    U = np.vstack(dirs)
-    norms = np.linalg.norm(U, axis=1)
-    U = U[norms > 1e-14] / norms[norms > 1e-14][:, None]
-    return U
-
-
-def _exact_line_2d(P: np.ndarray, grid: int = 100_000) -> tuple[np.ndarray, float]:
-    """Exact minimax line for points in R^2: angle grid + golden polish,
-    with the finite candidate set evaluated as well."""
-    sq = np.einsum("ij,ij->i", P, P)
-
-    def val_of(U):  # U: (k, 2) unit directions
-        proj = P @ U.T
-        return np.sqrt(np.maximum(sq[:, None] - proj**2, 0.0)).max(axis=0)
-
-    thetas = np.linspace(0.0, math.pi, grid, endpoint=False)
-    U = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    vals = val_of(U)
-    k = int(np.argmin(vals))
-    lo, hi = thetas[k] - math.pi / grid, thetas[k] + math.pi / grid
-
-    phi = (math.sqrt(5) - 1) / 2
-
-    def f(theta):
-        return float(val_of(np.array([[math.cos(theta), math.sin(theta)]]))[0])
-
-    a, b = lo, hi
-    c1, c2 = b - phi * (b - a), a + phi * (b - a)
-    f1, f2 = f(c1), f(c2)
-    for _ in range(80):
-        if f1 <= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - phi * (b - a)
-            f1 = f(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + phi * (b - a)
-            f2 = f(c2)
-    best_theta = c1 if f1 <= f2 else c2
-    best_val = min(f1, f2)
-
-    cands = _line_candidates_2d(P)
-    cvals = val_of(cands)
-    kc = int(np.argmin(cvals))
-    if cvals[kc] < best_val:
-        best_val = float(cvals[kc])
-        u = cands[kc]
-    else:
-        u = np.array([math.cos(best_theta), math.sin(best_theta)])
-    return u[:, None], float(best_val)
+    i, j = np.triu_indices(len(P), 1)
+    W = np.concatenate([P, P[i] - P[j], P[i] + P[j]])
+    norms = np.hypot(W[:, 0], W[:, 1])
+    U = W[norms > 0] / norms[norms > 0, None]
+    # an all-zero cloud leaves no direction: any line fits it exactly
+    best_u, best_val = np.array([1.0, 0.0]), math.inf if len(U) else 0.0
+    for s in range(0, len(U), _LINE_BLOCK):
+        B = U[s:s + _LINE_BLOCK]
+        vals = np.abs(P[:, :1] * B[:, 1] - P[:, 1:] * B[:, 0]).max(axis=0)
+        k = int(np.argmin(vals))
+        if vals[k] < best_val:
+            best_u, best_val = B[k], float(vals[k])
+    return best_u[:, None], best_val
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +240,6 @@ def _fit_subspace(
     seed: int,
     restarts: int,
     sweeps: int = 50,
-    line_grid: int = 4096,
 ) -> tuple[np.ndarray, float, bool]:
     """Best-effort minimax subspace for P; returns (basis, value, exact_flag).
 
@@ -304,7 +266,7 @@ def _fit_subspace(
         B = Vt[:rank].T  # d x rank
         Q = C @ B  # m x rank coordinates
         if n == 1 and rank == 2:
-            u, snap_val = _exact_line_2d(Q, grid=line_grid)
+            u, snap_val = _exact_line_2d(Q)
             V, exact = B @ u, True
         else:
             starts = [np.eye(rank)[:, :n]]
@@ -331,7 +293,9 @@ def linear_width(
 
     Euclidean clouds get both sides (spectral lower, heuristic upper, exact
     paths for n=0, n>=rank, and the planar line); other norms report an
-    upper bound only.
+    upper bound only.  The line (n=1) of a rank-2 cloud is the best of the
+    directions u || x_i - x_j, x_i + x_j or x_i, which hold every minimum of
+    the largest distance (module docstring).
     """
     cloud = K.as_cloud()
     P = cloud.points
@@ -351,7 +315,7 @@ def linear_width(
     tail = S[n:] if n < len(S) else np.zeros(0)
     spectral = math.sqrt(float(np.sum(tail**2)) / m) if euclid else 0.0
 
-    V, val, exact = _fit_subspace(P, n, seed, restarts, line_grid=100_000)
+    V, val, exact = _fit_subspace(P, n, seed, restarts)
     if not euclid:
         vals = _dists(P, V, cloud.norm)
         val = float(vals.max())
@@ -378,19 +342,17 @@ def linear_width(
 
 
 class _ClusterCache:
-    def __init__(self, P: np.ndarray, n: int, seed: int, restarts: int = 2, sweeps: int = 20):
+    def __init__(self, P: np.ndarray, n: int, seed: int):
         self.P = P
         self.n = n
         self.seed = seed
-        self.restarts = restarts
-        self.sweeps = sweeps
         self.store: dict[tuple[int, ...], tuple[np.ndarray, float, bool]] = {}
 
     def fit(self, idx: tuple[int, ...]) -> tuple[np.ndarray, float, bool]:
         if idx not in self.store:
             self.store[idx] = _fit_subspace(
                 self.P[list(idx)], self.n, _subset_seed(self.seed, idx),
-                self.restarts, self.sweeps,
+                _CLUSTER_RESTARTS, _CLUSTER_SWEEPS,
             )
         return self.store[idx]
 
@@ -411,6 +373,14 @@ def _family_value(cache: _ClusterCache, assign: np.ndarray, N: int):
     dists = np.stack([_euclid_dists(cache.P, V) for V in bases], axis=1)
     per_point = dists[np.arange(len(assign)), assign]
     return bases, dists, per_point, exact_all
+
+
+def _legal_frames(bases: list[np.ndarray], n: int) -> tuple[np.ndarray, ...]:
+    """Swap the zero placeholder basis of each unused cluster for a legal frame."""
+    return tuple(
+        V if np.any(np.abs(V) > 0) else _orthonormal_extend(np.zeros((V.shape[0], 0)), n)
+        for V in bases
+    )
 
 
 def _single_move_descent(cache: _ClusterCache, assign0: np.ndarray, N: int, max_steps: int = 200):
@@ -517,11 +487,7 @@ def nonlinear_width(
     if m <= N:
         assign = np.arange(m, dtype=int)
         bases, dists, per_point, _ = _family_value(cache, assign, N)
-        bases = [
-            V if np.any(np.abs(V) > 0) else _orthonormal_extend(np.zeros((d, 0)), n)
-            for V in bases
-        ]
-        fam = SubspaceFamily(tuple(bases), assign, float(per_point.max()))
+        fam = SubspaceFamily(_legal_frames(bases, n), assign, float(per_point.max()))
         return WidthResult(
             Bracket(0.0, fam.achieved, exact=fam.achieved <= 1e-12,
                     lower_method="spectral-nN", upper_method="per-point-span"),
@@ -596,14 +562,10 @@ def nonlinear_width(
             method += "+move-descent"
 
     val, bases, assign = best
-    # unused clusters carry a placeholder zero basis; swap in a legal frame
-    bases = [
-        V if np.any(np.abs(V) > 0) else _orthonormal_extend(np.zeros((d, 0)), n)
-        for V in bases
-    ]
+    bases = _legal_frames(bases, n)
     dists = np.stack([_euclid_dists(P, V) for V in bases], axis=1)
     val = float(dists[np.arange(m), assign].max())
-    fam = SubspaceFamily(tuple(bases), assign, val)
+    fam = SubspaceFamily(bases, assign, val)
     br = Bracket(min(lower, val), val, exact=False,
                  lower_method="spectral-nN", upper_method=method)
     return WidthResult(br, fam, restarts_used)

@@ -96,6 +96,17 @@ def test_runtime_error_names_experiment(tmp_path, capsys, jobs):
     assert "n=3 exceeds ambient dimension 2" in err
 
 
+@pytest.mark.parametrize("norm", ["p:inf", "p:0.5", "p:two"])
+def test_bad_cloud_norm_is_a_config_error(tmp_path, capsys, norm):
+    p = tmp_path / "bad.cfg"
+    p.write_text("[lw]\nkind = linear-width\nset = cloud\ncloud_points = 5\n"
+                 f"cloud_dim = 2\ncloud_norm = {norm}\nn_values = 1\nseed = 1\n")
+    assert run(p, out_dir=tmp_path / "out", quiet=True) == 1
+    err = capsys.readouterr().err
+    assert f"config error: [lw] cloud_norm: {norm!r}" in err
+    assert "Traceback" not in err
+
+
 def test_missing_config_exit_code(tmp_path):
     assert run(tmp_path / "missing.cfg", out_dir=tmp_path / "out") == 1
 

@@ -48,6 +48,12 @@ def test_norm_dimension_mismatch():
         norm_of([1.0, 2.0, 3.0], NormSpec("euclidean", 2))
 
 
+def test_pnorm_rejects_infinite_exponent():
+    with pytest.raises(ValueError, match='kind="max"'):
+        NormSpec("pnorm", 2, p=math.inf)
+    assert NormSpec("pnorm", 2, p=1.0).norm([3.0, -4.0]) == pytest.approx(7.0, abs=1e-12)
+
+
 def test_norm_properties_sampled():
     rng = np.random.default_rng(7)
     for space in (NormSpec("euclidean", 4), NormSpec("pnorm", 4, p=3.0), NormSpec("max", 4)):

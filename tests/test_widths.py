@@ -1,12 +1,18 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from widthlab.spaces import CompactSetModel, NormSpec, scale_set, sigma_value
 from widthlab.widths import (
+    _CLUSTER_RESTARTS,
+    _CLUSTER_SWEEPS,
     _SNAP,
+    _exact_line_2d,
     _fit_subspace,
     _subset_seed,
     dist_to_subspace,
@@ -86,6 +92,51 @@ def test_linear_width_vs_angle_grid_random():
         res = linear_width(K, 1)
         assert res.bracket.upper == pytest.approx(angle_grid_width(pts), abs=1e-6)
         assert res.bracket.lower <= res.bracket.upper + 1e-12
+
+
+PLANE = st.lists(st.tuples(st.floats(-4, 4), st.floats(-4, 4)), min_size=1, max_size=12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(PLANE, st.sampled_from(["plain", "duplicate", "antipodal", "origin"]))
+@example([(2.0, 1.0)], "plain")
+@example([(1.0, 0.0), (0.0, 1.0)], "plain")
+@example([(0.5, -2.0), (0.5, -2.0)], "plain")
+@example([(1.5, 0.5), (-1.5, -0.5)], "plain")
+@example([(0.0, 0.0), (3.0, 1.0)], "plain")
+@example([(0.0, 0.0), (0.0, 0.0)], "plain")
+def test_exact_line_2d_against_angle_grid(pts, twist):
+    P = np.array(pts, dtype=float)
+    if twist == "duplicate":
+        P = np.vstack([P, P[:1]])
+    elif twist == "antipodal":
+        P = np.vstack([P, -P[:1]])
+    elif twist == "origin":
+        P = np.vstack([P, np.zeros((1, 2))])
+    u, val = _exact_line_2d(P)
+    assert u.shape == (2, 1)
+    assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+    tol = 1e-12 * max(1.0, val)
+    assert val == pytest.approx(float(np.linalg.norm(P - (P @ u) @ u.T, axis=1).max()), abs=tol)
+    # no line of the grid beats the optimum, and the coarse grid lies within
+    # half a step of it: each distance is |x|-Lipschitz in the angle
+    assert val <= angle_grid_width(P) + tol
+    grid = 20_001
+    slack = float(np.linalg.norm(P, axis=1).max()) * math.pi / (2 * (grid - 1))
+    assert val >= angle_grid_width(P, grid=grid, zooms=0) - slack - tol
+
+
+def test_planar_line_memory_stays_linear_in_blocks():
+    P = np.random.default_rng(5).normal(size=(300, 2))
+    K = CompactSetModel.cloud(P)
+    tracemalloc.start()
+    try:
+        res = linear_width(K, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.bracket.exact
+    assert peak < 64 * 2**20
 
 
 def test_linear_width_witness_consistent():
@@ -237,7 +288,7 @@ def _reference_fit(P, n, seed, restarts, sweeps):
     (25, 4, 2, 32, 50, None),
     (20, 6, 2, 32, 50, 4),  # rank-deficient
     (25, 4, 2, 0, 50, None),
-    (16, 4, 1, 2, 20, None),  # the cluster-fit settings
+    (16, 4, 1, _CLUSTER_RESTARTS, _CLUSTER_SWEEPS, None),
 ])
 def test_batched_fit_matches_sequential_restarts(m, d, n, restarts, sweeps, rank):
     for trial in range(3):
