@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spaces import CompactSetModel, NormSpec
+from .spaces import CompactSetModel, NormSpec, _away_step_simplex
 
 __all__ = [
     "HatSystem",
@@ -126,12 +126,8 @@ class JohnMap:
     def gauge(self, x: np.ndarray) -> float:
         """Minkowski gauge of the target ball at x."""
         x = np.asarray(x, dtype=float)
-        if self.ball_kind == "euclidean":
-            return float(np.linalg.norm(x))
-        if self.ball_kind == "max":
-            return float(np.max(np.abs(x)))
-        if self.ball_kind == "pnorm":
-            return float(np.sum(np.abs(x) ** self.ball_data) ** (1.0 / self.ball_data))
+        if self.ball_kind in ("euclidean", "max", "pnorm"):
+            return NormSpec(self.ball_kind, len(x), self.ball_data).norm(x)
         if self.ball_kind == "facets":
             return float(np.max(np.abs(self.ball_data @ x)))
         if self.ball_kind == "vertices":
@@ -151,30 +147,29 @@ class JohnMap:
         raise ValueError(f"unknown ball kind {self.ball_kind}")
 
 
-def _maxdet_weights(Q: np.ndarray, tol: float, max_iter: int):
-    """Multiplicative-update ascent for max det M s.t. q_i^T M q_i <= 1.
+def _maxdet_weights(Q: np.ndarray, tol: float):
+    """Max det M s.t. q_i^T M q_i <= 1, by Khachiyan's ascent with away steps
+    (Todd and Yildirim 2007) on the weights u of V(u) = sum_i u_i q_i q_i^T.
 
+    The scores are kappa_i = q_i^T V(u)^-1 q_i, whose u-weighted mean is n.
     The optimality gap reported is max_i q_i^T M q_i - 1 at M = (n V(u))^-1.
     """
     m, n = Q.shape
-    u = np.full(m, 1.0 / m)
-    kappa = n
-    it = 0
-    for it in range(1, max_iter + 1):
-        V = Q.T @ (u[:, None] * Q)
-        g = np.einsum("ij,ij->i", Q @ np.linalg.inv(V), Q)
-        j = int(np.argmax(g))
-        kappa = float(g[j])
-        if kappa <= n * (1.0 + tol):
-            break
-        step = (kappa - n) / (n * (kappa - 1.0))
-        u *= 1.0 - step
-        u[j] += step
-    V = Q.T @ (u[:, None] * Q)
-    M = np.linalg.inv(n * V)
+
+    def scores(u):
+        return np.einsum("ij,ij->i", Q @ np.linalg.inv(Q.T @ (u[:, None] * Q)), Q), n
+
+    def steps(kj, kk, n):
+        # an away vertex with kappa <= 1 gets the drop step; the line-search
+        # formula is negative there
+        return (kj - n) / (n * (kj - 1.0)), (n - kk) / (n * (kk - 1.0)) if kk > 1.0 else math.inf
+
+    u, it, conv = _away_step_simplex(np.full(m, 1.0 / m), scores, steps, tol)
+    M = np.linalg.inv(n * (Q.T @ (u[:, None] * Q)))
     M = 0.5 * (M + M.T)
-    gap = float(np.max(np.einsum("ij,ij->i", Q @ M, Q)) - 1.0)
-    return M, gap, it, kappa <= n * (1.0 + tol)
+    # the u-weighted mean of q_i^T M q_i is 1, so the gap is >= 0 up to rounding
+    gap = max(0.0, float(np.max(np.einsum("ij,ij->i", Q @ M, Q)) - 1.0))
+    return M, gap, it, conv
 
 
 def _sqrtm_psd(M: np.ndarray) -> np.ndarray:
@@ -182,12 +177,15 @@ def _sqrtm_psd(M: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(np.maximum(w, 0.0))) @ V.T
 
 
-def john_ellipsoid(ball, dim: int | None = None, tol: float = 5e-9, max_iter: int = 100_000) -> JohnMap:
+def john_ellipsoid(ball, dim: int | None = None, tol: float = 5e-9) -> JohnMap:
     """Maximum-volume inscribed ellipsoid map for a symmetric convex body.
 
     ball: "euclidean" | "max" | ("p", p) | ("vertices", V) | ("facets", A).
-    l_p balls use the diagonal closed form; polytopes run the
-    multiplicative-update ascent on their vertex (or facet-normal) list.
+    Norm balls use the l_p closed form; euclidean is p = 2 and max is
+    p = inf, both giving the unit ball.  Polytopes run the away-step
+    Khachiyan ascent on their vertex (or facet-normal) list until its gap is
+    at most ``tol``, for at most ``spaces._SIMPLEX_MAX_ITER`` iterations;
+    ``converged`` says which.
     """
     if isinstance(ball, str):
         kind, data = ball, None
@@ -196,42 +194,26 @@ def john_ellipsoid(ball, dim: int | None = None, tol: float = 5e-9, max_iter: in
     if kind in ("euclidean", "max", "p", "pnorm"):
         if dim is None:
             raise ValueError("dim required for norm-ball inputs")
-        n = dim
-        if kind == "euclidean":
-            return JohnMap(np.eye(n), 1.0, np.eye(n), 0.0, 0, True, "euclidean")
-        if kind == "max":
-            A = np.eye(n)
-            M, gap, it, conv = _maxdet_weights(A, tol, max_iter)
-            return JohnMap(_sqrtm_psd(M), math.sqrt(n), np.linalg.inv(M), gap, it, conv,
-                           "max")
-        p = float(data)
+        p = {"euclidean": 2.0, "max": math.inf}.get(kind) or float(data)
         if p < 1:
             raise ValueError("p must be >= 1")
-        r = min(1.0, float(n) ** (0.5 - 1.0 / p))
-        factor = float(n) ** abs(0.5 - 1.0 / p)
-        return JohnMap(r * np.eye(n), factor, np.eye(n) / r**2, 0.0, 0, True,
-                       "pnorm", p)
-    if dim is not None and dim > 8:
-        raise ValueError("polytope path supports dimension <= 8")
+        r = min(1.0, float(dim) ** (0.5 - 1.0 / p))
+        kind = "pnorm" if kind == "p" else kind
+        return JohnMap(r * np.eye(dim), float(dim) ** abs(0.5 - 1.0 / p), np.eye(dim) / r**2,
+                       0.0, 0, True, kind, p if kind == "pnorm" else None)
+    if kind not in ("vertices", "facets"):
+        raise ValueError(f"unknown ball spec {ball!r}")
     arr = np.atleast_2d(np.asarray(data, dtype=float))
     n = arr.shape[1]
-    if n > 8:
+    if n > 8 or (dim is not None and dim > 8):
         raise ValueError("polytope path supports dimension <= 8")
     if np.linalg.matrix_rank(arr) < n:
         raise ValueError("polytope input does not span the space")
-    if kind == "vertices":
-        H, gap, it, conv = _maxdet_weights(arr, tol, max_iter)
-        # H is the enclosing-ellipsoid shape; the inscribed map shrinks it by sqrt(n)
-        Hs = _sqrtm_psd(np.linalg.inv(H))
-        phi = Hs / math.sqrt(n)
-        shape = np.linalg.inv(phi @ phi.T)
-        return JohnMap(phi, math.sqrt(n), shape, gap, it, conv, "vertices", arr)
-    if kind == "facets":
-        M, gap, it, conv = _maxdet_weights(arr, tol, max_iter)
-        phi = _sqrtm_psd(M)
-        shape = np.linalg.inv(M)
-        return JohnMap(phi, math.sqrt(n), shape, gap, it, conv, "facets", arr)
-    raise ValueError(f"unknown ball spec {ball!r}")
+    M, gap, it, conv = _maxdet_weights(arr, tol)
+    # for vertices M is the enclosing-ellipsoid shape; the inscribed map
+    # shrinks it by sqrt(n)
+    phi = _sqrtm_psd(M) if kind == "facets" else _sqrtm_psd(np.linalg.inv(M)) / math.sqrt(n)
+    return JohnMap(phi, math.sqrt(n), np.linalg.inv(phi @ phi.T), gap, it, conv, kind, arr)
 
 
 def john_sandwich_sampled(jm: JohnMap, samples: int = 1000, seed: int = 0):
@@ -287,14 +269,6 @@ class LipschitzMapSpec:
     @property
     def domain_dim(self) -> int:
         return self.n + self.extra_dim
-
-    def domain_norm(self, z: np.ndarray) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        x, y = z[:, : self.n], z[:, self.n:]
-        return np.maximum(np.linalg.norm(x, axis=1), np.max(np.abs(y), axis=1))
-
-    def in_domain(self, z: np.ndarray, slack: float = 1e-9) -> bool:
-        return bool(np.all(self.domain_norm(z) <= 1 + slack))
 
     def evaluate(self, z: np.ndarray) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=float))
@@ -395,12 +369,9 @@ def _john_charts(bases, ambient: NormSpec, directions: int = 8192):
     else:
         M = float(n) ** abs(0.5 - 1.0 / ambient.p)
     charts = []
-    gaps = []
     for U in bases:
         if ambient.kind == "max":
-            jm = john_ellipsoid(("facets", U), tol=1e-10)
-            phi = jm.matrix
-            gaps.append(jm.gap)
+            phi = john_ellipsoid(("facets", U), tol=1e-10).matrix
         else:
             # supporting-hyperplane discretization of {c : ||U c||_p <= 1}
             rng = np.random.default_rng(0)
@@ -411,16 +382,14 @@ def _john_charts(bases, ambient: NormSpec, directions: int = 8192):
             Zb = Z / zn[:, None]
             G = np.sign(Zb) * np.abs(Zb) ** (ambient.p - 1.0)
             A = G @ U
-            jm = john_ellipsoid(("facets", A), tol=1e-10)
-            phi = jm.matrix
+            phi = john_ellipsoid(("facets", A), tol=1e-10).matrix
             # shrink until the sampled gauge is inside the true ball
             img = V @ (U @ phi).T
             worst = float(np.max(ambient.norm(img.reshape(-1, U.shape[0]))))
             if worst > 1.0:
                 phi = phi / (worst * (1 + 1e-12))
-            gaps.append(jm.gap)
         charts.append(U @ (M * phi))
-    return charts, M, max(gaps)
+    return charts, M
 
 
 def build_theta_xi(bases, ambient: NormSpec):
@@ -432,7 +401,7 @@ def build_theta_xi(bases, ambient: NormSpec):
     if ambient.is_euclidean:
         charts, M = [U.copy() for U in bases], 1.0
     else:
-        charts, M, _ = _john_charts(bases, ambient)
+        charts, M = _john_charts(bases, ambient)
     N = len(bases)
     theta = LipschitzMapSpec(
         kind="theta", n=n, charts=tuple(charts), hats=HatSystem(N), bumps=None,

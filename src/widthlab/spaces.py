@@ -4,7 +4,8 @@ Everything downstream (covering numbers, widths, Lipschitz maps) works on two
 set models: an explicit finite point cloud in a normed R^d, or the analytic
 sequence family ``{s_j e_j} U {0}`` with s_j = 1/[log2 log2 (j+3)]^alpha,
 truncated at a caller-chosen index J.  All operations here are pure functions
-on immutable inputs.
+on immutable inputs.  One away-step simplex ascent (``_away_step_simplex``)
+solves the euclidean enclosing ball here and the John ellipsoid in lipschitz.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 __all__ = [
     "NormSpec",
@@ -71,11 +71,10 @@ class NormSpec:
             v = np.sum(np.abs(x) ** self.p, axis=-1) ** (1.0 / self.p)
         return v if x.ndim > 1 else float(v)
 
-    def dist(self, x: np.ndarray, y: np.ndarray) -> float:
-        return self.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-
     def pairwise(self, pts: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:
         """Distance matrix between rows of pts (and other, if given)."""
+        from scipy.spatial.distance import cdist  # here, so that importing widthlab loads no scipy
+
         other = pts if other is None else other
         if self.kind == "euclidean":
             return cdist(pts, other, metric="euclidean")
@@ -190,6 +189,9 @@ class CompactSetModel:
             norm = euclidean(pts.shape[1])
         if pts.shape[1] != norm.dim:
             raise ValueError("point dimension does not match norm dimension")
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+        if bad.size:
+            raise ValueError(f"cloud row {bad[0]} has a non-finite coordinate: {pts[bad[0]]}")
         pts = pts.copy()
         pts.flags.writeable = False
         return CompactSetModel(kind="cloud", label=label, points=pts, norm=norm)
@@ -258,7 +260,7 @@ class CompactSetModel:
     def ball_center(self) -> np.ndarray:
         """Center of the euclidean minimum enclosing ball of the points,
         computed once per model (read-only)."""
-        c, _ = minimum_enclosing_ball(self.as_cloud().points)
+        c, _, _ = minimum_enclosing_ball(self.as_cloud().points)
         c.flags.writeable = False
         return c
 
@@ -285,54 +287,100 @@ def scale_set(K: CompactSetModel, t: float) -> CompactSetModel:
 
 
 # ---------------------------------------------------------------------------
-# minimum enclosing ball (exact, euclidean)
+# the weight simplex: enclosing ball (here) and John ellipsoid (lipschitz)
+
+_SIMPLEX_MAX_ITER = 100_000
+# gaps at which the enclosing-ball ascent tries its exact finish, in turn
+_BALL_TOLS = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14)
 
 
-def _ball_of_boundary(R: list[np.ndarray]) -> tuple[np.ndarray, float]:
-    """Smallest ball with all points of R on its boundary (affine-hull circumball)."""
-    if not R:
-        return np.zeros(0), -1.0
-    a0 = R[0]
-    if len(R) == 1:
-        return a0.copy(), 0.0
-    A = np.array([r - a0 for r in R[1:]])
+def _away_step_simplex(u: np.ndarray, scores, steps, tol: float):
+    """Frank-Wolfe ascent with away steps on the simplex weights u, in place.
+
+    ``scores(u)`` gives scores g and their u-weighted mean, the level;
+    ``steps(g_j, g_k, level)`` the toward step to the largest score j and the
+    away step from the least score k on the support (inf: a drop step).  Each
+    pass takes the one whose score lies further from the level, until
+    g_j <= level (1 + tol).  Returns ``(u, iterations, converged)``."""
+    for it in range(1, _SIMPLEX_MAX_ITER + 1):
+        g, level = scores(u)
+        j = int(np.argmax(g))
+        if g[j] <= level * (1.0 + tol):
+            return u, it, True
+        support = np.flatnonzero(u)
+        k = int(support[np.argmin(g[support])])
+        toward, away = steps(float(g[j]), float(g[k]), level)
+        if g[j] - level >= level - g[k]:
+            u *= 1.0 - toward
+            u[j] += toward
+        elif away >= u[k] / (1.0 - u[k]):  # drop step: k leaves the support
+            u /= 1.0 - u[k]
+            u[k] = 0.0
+        else:
+            u *= 1.0 + away
+            u[k] -= away
+    return u, _SIMPLEX_MAX_ITER, False
+
+
+def _ball_of_boundary(R: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """Circumball of the rows of R in their affine hull: center, radius and
+    the center's barycentric weights on the rows."""
+    A = R[1:] - R[0]
     b = 0.5 * np.einsum("ij,ij->i", A, A)
-    # center = a0 + A^T lam with A A^T lam = b (least squares handles degeneracy)
+    # center = R[0] + A^T lam with A A^T lam = b (least squares handles degeneracy)
     lam, *_ = np.linalg.lstsq(A @ A.T, b, rcond=None)
-    c = a0 + A.T @ lam
-    return c, float(np.linalg.norm(c - a0))
+    c = R[0] + A.T @ lam
+    return c, float(np.linalg.norm(c - R[0])), np.concatenate(([1.0 - lam.sum()], lam))
 
 
-def minimum_enclosing_ball(points: np.ndarray, seed: int = 0) -> tuple[np.ndarray, float]:
-    """Exact euclidean minimum enclosing ball (Welzl, move-to-front).
+def minimum_enclosing_ball(points: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """Euclidean minimum enclosing ball: ``(center, radius, weights)``.
 
-    Deterministic: the insertion order is a fixed seeded shuffle.
+    Weights u on the simplex bound the radius below: no ball containing P is
+    smaller than sqrt(Phi(u)), Phi(u) = sum_i u_i |p_i - u^T P|^2.  The
+    away-step ascent on Phi (Yildirim 2008) starts at the first point.
+    At each gap in ``_BALL_TOLS`` it tries an exact finish: the circumball of
+    its support, then of the support with one point exchanged for the point
+    farthest from that circumball's center.  The first that contains every
+    point, with a center of non-negative barycentric weights, is the minimum
+    ball, and those weights certify it.  Past the last gap the iterate
+    itself is returned.  The radius is measured from the returned center.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    m, d = pts.shape
-    order = np.random.default_rng(seed).permutation(m)
-    pts = [pts[i] for i in order]
+    P = np.atleast_2d(np.asarray(points, dtype=float))
 
-    def mtf(P: list[np.ndarray], R: list[np.ndarray]) -> tuple[np.ndarray, float]:
-        if not P or len(R) == d + 1:
-            return _ball_of_boundary(R)
-        c, r = mtf(P[1:], R)
-        p = P[0]
-        if r >= 0 and np.linalg.norm(p - c) <= r * (1 + 1e-12) + 1e-14:
-            return c, r
-        return mtf(P[1:], R + [p])
+    def scores(u):
+        g = np.sum((P - u @ P) ** 2, axis=1)
+        return g, float(u @ g)
 
-    import sys
+    def steps(gj, gk, phi):
+        return (gj - phi) / (2.0 * gj), (phi - gk) / (2.0 * gk) if gk > 0 else math.inf
 
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 4 * m + 100))
-    try:
-        c, r = mtf(pts, [])
-    finally:
-        sys.setrecursionlimit(old)
-    # tighten radius to the realized maximum (guards fp drift in the recursion)
-    r = float(np.max(np.linalg.norm(np.asarray(points, dtype=float) - c, axis=1)))
-    return c, r
+    u = np.zeros(len(P))
+    u[0] = 1.0
+    for tol in _BALL_TOLS:
+        trials = [np.flatnonzero(_away_step_simplex(u, scores, steps, tol)[0])]
+        for S in trials:
+            c, r, w = _ball_of_boundary(P[S])
+            dist = np.linalg.norm(P - c, axis=1)
+            if w.min() >= -1e-12 and dist.max() <= r * (1.0 + 1e-12):
+                u = np.zeros(len(P))
+                u[S] = np.maximum(w, 0.0)
+                return c, float(dist.max()), u
+            if len(trials) == 1:  # the support failed: queue its exchanges
+                far = int(np.argmax(dist))
+                trials += [np.union1d(np.delete(S, i), far) for i in range(len(S))]
+    c = u @ P
+    return c, float(np.linalg.norm(P - c, axis=1).max()), u
+
+
+def _dual_radius(P: np.ndarray, w: np.ndarray) -> float:
+    """sqrt(Phi(w)) less a rounding margin, for any weights w >= 0: no ball
+    containing the rows of P has a smaller radius."""
+    (m, d), eps = P.shape, np.finfo(float).eps
+    w = w / w.sum()
+    phi = float(w @ np.sum((P - w @ P) ** 2, axis=1))
+    # the sums' relative error, and the rounded center w^T P, which only raises phi
+    return math.sqrt(max(0.0, phi * (1 - 4 * (m + d) * eps) - d * (m * eps * np.abs(P).max()) ** 2))
 
 
 def _chebyshev_descent(pts: np.ndarray, norm: NormSpec, sweeps: int = 200) -> tuple[np.ndarray, float]:
@@ -379,14 +427,14 @@ def chebyshev_radius(K: CompactSetModel) -> Bracket:
     bound.
     """
     K = K.as_cloud()
-    if K.kind != "cloud":
-        raise ValueError("chebyshev_radius requires a cloud model")
     pts = K.points
     if pts.shape[0] == 1:
         return Bracket.exactly(0.0, "single-point")
     if K.norm.is_euclidean:
-        _, r = minimum_enclosing_ball(pts)
-        return Bracket(r, r, exact=True, lower_method="meb-welzl", upper_method="meb-welzl")
+        _, upper, w = minimum_enclosing_ball(pts)
+        lower = _dual_radius(pts, w)
+        return Bracket(lower, upper, exact=upper - lower <= 1e-9 * max(1.0, upper),
+                       lower_method="simplex-dual", upper_method="enclosing-center")
     if K.norm.kind == "max":
         r = float(np.ptp(pts, axis=0).max()) / 2
         return Bracket(r, r, exact=True,

@@ -140,9 +140,9 @@ def test_outer_pool_ball_center_computed_once(monkeypatch):
                           minimum_enclosing_ball(pts)[0])
     calls = []
 
-    def counting(points, seed=0):
+    def counting(points):
         calls.append(1)
-        return minimum_enclosing_ball(points, seed)
+        return minimum_enclosing_ball(points)
 
     monkeypatch.setattr(spaces, "minimum_enclosing_ball", counting)
     K = CompactSetModel.cloud(pts)
@@ -361,9 +361,9 @@ def test_min_cover_exact_fails_before_distances(monkeypatch):
 def test_sequence_embedding_is_cached(monkeypatch):
     calls = []
 
-    def counting(points, seed=0):
+    def counting(points):
         calls.append(1)
-        return minimum_enclosing_ball(points, seed)
+        return minimum_enclosing_ball(points)
 
     monkeypatch.setattr(spaces, "minimum_enclosing_ball", counting)
     K = CompactSetModel.ksigma(1.0, 24)

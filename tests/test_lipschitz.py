@@ -138,6 +138,18 @@ def test_john_sandwich_random_polytopes():
         assert polar <= 1.0 + 1e-6
 
 
+def test_john_polytopes_converge_at_the_default_tol():
+    rng = np.random.default_rng(8)
+    for d in range(2, 9):
+        for kind in ("vertices", "facets"):
+            X = rng.normal(size=(3 * d + 4, d))
+            jm = john_ellipsoid((kind, X))
+            assert jm.converged, (kind, d, jm.iterations)
+            assert 0 <= jm.gap <= 5e-9 * (1 + 1e-6)
+    jm = john_ellipsoid("max", 5)
+    assert np.array_equal(jm.matrix, np.eye(5)) and jm.factor == math.sqrt(5)
+
+
 def test_john_rejects_degenerate():
     with pytest.raises(ValueError):
         john_ellipsoid(("vertices", np.array([[1.0, 0.0], [2.0, 0.0]])))

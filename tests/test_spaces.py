@@ -1,8 +1,14 @@
+import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from widthlab import spaces
 from widthlab.spaces import (
     Bracket,
     CompactSetModel,
@@ -117,7 +123,7 @@ def test_chebyshev_vs_grid_random():
     rng = np.random.default_rng(11)
     for _ in range(5):
         pts = rng.normal(size=(12, 2))
-        _, r = minimum_enclosing_ball(pts)
+        _, r, _ = minimum_enclosing_ball(pts)
         assert r == pytest.approx(grid_meb_radius(pts, span=2.0), abs=1e-5)
 
 
@@ -147,6 +153,107 @@ def test_chebyshev_leq_sup_norm():
     for _ in range(10):
         K = CompactSetModel.cloud(rng.normal(size=(20, 3)))
         assert chebyshev_radius(K).upper <= sup_norm(K) + 1e-9
+
+
+def circumball_oracle(pts):
+    """Smallest circumball of at most d + 1 affinely independent points that
+    contains every point: the minimum enclosing ball, by enumeration."""
+    pts = np.asarray(pts, dtype=float)
+    m, d = pts.shape
+    best = math.inf
+    for k in range(1, min(m, d + 1) + 1):
+        for idx in itertools.combinations(range(m), k):
+            S = pts[list(idx)]
+            A = S[1:] - S[0]
+            if np.linalg.matrix_rank(A, tol=1e-9) < k - 1:
+                continue
+            lam = np.linalg.solve(A @ A.T, 0.5 * np.sum(A * A, axis=1)) if k > 1 else []
+            c = S[0] + A.T @ lam
+            r = float(np.linalg.norm(S[0] - c))
+            if np.linalg.norm(pts - c, axis=1).max() <= r + 1e-9 * max(1.0, r):
+                best = min(best, r)
+    return best
+
+
+def _tiny_cloud(dim, coords):
+    return st.lists(st.lists(coords, min_size=dim, max_size=dim), min_size=1, max_size=7)
+
+
+_COORDS = st.one_of(st.integers(-3, 3).map(float), st.floats(-4, 4))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda d: _tiny_cloud(d, _COORDS)))
+@example([[1.0, 2.0], [1.0, 2.0], [-1.0, 0.0], [-1.0, 0.0]])  # duplicates
+@example([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [1.5, 1.5]])  # collinear
+@example([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [-1.0, -2.0, -3.0]])
+@example([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])  # cospherical square
+@example([[math.cos(t), math.sin(t)] for t in np.arange(7) * 2 * math.pi / 7])
+@example([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0],
+          [0.0, 0.0, 0.5]])  # cospherical coplanar support and an inner point
+@example([[s, t, v] for s, t, v in itertools.product((-1.0, 1.0), repeat=3)][:7])
+@example([[2.0, -1.0, 0.5]] * 3)
+# a support whose circumball holds every point but whose center has a negative
+# weight, and one whose circumball misses a point
+@example([[3.0, 1.0], [3.0, 2.0], [-3.0, -1.0], [-3.0, 0.0]])
+@example([[2.0, -1.0], [2.0, -1.0], [3.0, 3.0], [-1.0, -1.0], [-1.0, -2.0], [-3.0, 2.0],
+          [0.0, 3.0]])
+def test_enclosing_ball_is_exact_against_circumball_oracle(pts):
+    K = CompactSetModel.cloud(pts)
+    br = chebyshev_radius(K)
+    oracle = circumball_oracle(K.points)
+    assert br.exact
+    assert br.lower <= oracle * (1 + 1e-9) + 1e-12
+    assert oracle <= br.upper * (1 + 1e-9) + 1e-12
+    c, r, w = minimum_enclosing_ball(K.points)
+    assert np.all(w >= 0) and w.sum() == pytest.approx(1.0, abs=1e-12)
+    assert r == np.linalg.norm(K.points - c, axis=1).max()
+
+
+def test_enclosing_ball_leaves_the_recursion_limit_alone(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("the recursion limit changed")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    P = np.random.default_rng(13).normal(size=(5000, 3))
+    c, r, w = minimum_enclosing_ball(P)
+    assert r == np.linalg.norm(P - c, axis=1).max()
+    assert spaces._dual_radius(P, w) >= r * (1 - 1e-9)
+
+
+def test_enclosing_ball_without_exact_finish_is_a_bracket(monkeypatch):
+    # every circumball fails its check, so the iterate at gap 1e-3 is returned
+    monkeypatch.setattr(spaces, "_BALL_TOLS", (1e-3,))
+    monkeypatch.setattr(spaces, "_ball_of_boundary", lambda R: (R[0], 0.0, -np.ones(len(R))))
+    P = np.random.default_rng(31).normal(size=(200, 3))
+    br = chebyshev_radius(CompactSetModel.cloud(P))
+    monkeypatch.undo()
+    r = minimum_enclosing_ball(P)[1]
+    assert not br.exact and br.lower < br.upper
+    assert br.lower <= r <= br.upper <= br.lower * (1 + 1e-3)
+
+
+def test_dual_radius_bounds_the_radius_for_any_weights():
+    rng = np.random.default_rng(29)
+    P = rng.normal(size=(40, 3)) + 100.0  # far from the origin
+    _, r, _ = minimum_enclosing_ball(P)
+    for _ in range(50):
+        assert spaces._dual_radius(P, rng.dirichlet(np.ones(40))) <= r
+    br = chebyshev_radius(CompactSetModel.ksigma(1.0, 24))
+    assert br.exact and br.lower_method == "simplex-dual" and br.lower <= br.upper
+
+
+def test_cloud_rejects_non_finite_coordinates():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="row 1"):
+            CompactSetModel.cloud([[0.0, 0.0], [bad, 1.0], [2.0, 0.0]])
+
+
+def test_import_loads_no_scipy_spatial():
+    code = "import sys, widthlab; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_scale_set():

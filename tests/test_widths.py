@@ -25,12 +25,11 @@ from widthlab.widths import (
 def angle_grid_width(pts, grid=20_001, zooms=4):
     """Brute-force minimax line fit in the plane (nested grid refinement)."""
     pts = np.asarray(pts, dtype=float)
-    sq = np.einsum("ij,ij->i", pts, pts)
 
     def sweep(th):
-        U = np.stack([np.cos(th), np.sin(th)], axis=1)
-        proj = pts @ U.T
-        vals = np.sqrt(np.maximum(sq[:, None] - proj**2, 0)).max(axis=0)
+        # |x x u| for u = (cos, sin); sqrt(|x|^2 - (x.u)^2) cancels badly
+        # when x is nearly parallel to u
+        vals = np.abs(np.outer(pts[:, 0], np.sin(th)) - np.outer(pts[:, 1], np.cos(th))).max(axis=0)
         k = int(np.argmin(vals))
         return th[k], float(vals[k])
 
@@ -105,6 +104,7 @@ PLANE = st.lists(st.tuples(st.floats(-4, 4), st.floats(-4, 4)), min_size=1, max_
 @example([(1.5, 0.5), (-1.5, -0.5)], "plain")
 @example([(0.0, 0.0), (3.0, 1.0)], "plain")
 @example([(0.0, 0.0), (0.0, 0.0)], "plain")
+@example([(1.0, 0.0), (1.0, 6.960435157200051e-06)], "plain")
 def test_exact_line_2d_against_angle_grid(pts, twist):
     P = np.array(pts, dtype=float)
     if twist == "duplicate":
