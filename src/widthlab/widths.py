@@ -3,12 +3,18 @@
 Upper bounds come from seeded heuristics (spectral initialization plus a
 softmax-reweighted minimax refinement; alternating fit/assign for subspace
 families), lower bounds from the mean-square spectral argument
-d_n >= sqrt(sum_{j>n} s_j^2 / m).  Exact paths: rank reduction, full
-assignment enumeration for tiny families, and the minimax line through 0 in
+d_n >= sqrt(sum_{j>n} s_j^2 / m).  Exact paths: rank reduction, a search
+over the set partitions of tiny clouds, and the minimax line through 0 in
 the plane.  That line is searched over a finite set, the directions u with
 u || x_i - x_j, u || x_i + x_j or u || x_i.  Each distance |x_i x u| is
 concave in the angle between its zeros, so the minimum of their maximum lies
 where two of them cross or one vanishes, and those are the directions above.
+
+A family search fits many point subsets.  Each subset is scaled, snapped and
+reduced on its own, and the subsets left to the iterative refinement run it
+as one stacked solve per (size, rank) shape, bitwise as they would alone:
+all subsets at once for the partition search, and the clusters of every
+running start at each step of the alternation.
 """
 
 from __future__ import annotations
@@ -38,6 +44,9 @@ _LINE_BLOCK = 1024
 # starts and sweeps of every cluster fit in the family searches
 _CLUSTER_RESTARTS = 2
 _CLUSTER_SWEEPS = 20
+# a batch of cluster fits runs in chunks of at most this many floats of
+# (restarts + 1) * size * dimension, so its memory stays flat in the batch size
+_BATCH_FLOATS = 2**17
 
 
 @dataclass(frozen=True)
@@ -80,11 +89,11 @@ def _check_frame(V: np.ndarray, tol: float = 1e-10):
 
 
 def _euclid_dists(P: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Distances of the rows of P to span(V); a stack of frames V (..., d, n)
-    gives a stack of distance rows."""
+    """Distances of the rows of P to span(V); stacks of clouds P (..., m, d)
+    and frames V (..., d, n) broadcast to a stack of distance rows."""
     # residual form: stable down to ~1e-16 relative when P lies in the span
     if V.shape[-1] == 0:
-        return np.linalg.norm(P, axis=1)
+        return np.linalg.norm(P, axis=-1)
     R = P - (P @ V) @ V.swapaxes(-1, -2)
     return np.linalg.norm(R, axis=-1)
 
@@ -160,47 +169,48 @@ def _orthonormal_extend(V: np.ndarray, n: int) -> np.ndarray:
     return Q[:, :n]
 
 
-def _minimax_fit(P: np.ndarray, n: int, starts: list[np.ndarray], sweeps: int) -> tuple[np.ndarray, float]:
+def _minimax_fit(Q: np.ndarray, n: int, starts: np.ndarray, sweeps: int) -> list[np.ndarray]:
     """Softmax-weighted covariance reweighting with an annealed temperature,
-    run from every starting frame at once as stacked arrays.
+    run on a stack of G clouds Q (G, s, r) from R starting frames each,
+    starts (G, R, r, n), all as one stacked solve.
 
     Weights w_i grow with the current distance, so the fitted eigenspace
     drifts toward the worst-approximated points; each start's temperature
     begins at its initial maximal distance and multiplies by 0.7 each sweep.
     The stacked matmul, eigh, exp and row reductions match their 2-d forms
-    bitwise, so every start follows the same sequence it would follow alone.
-    Returns the best frame over all starts and sweeps, the earliest start
-    winning ties.
+    bitwise, so every start of every cloud follows the same sequence it would
+    follow alone.  Returns each cloud's best frame over its starts and sweeps,
+    the earliest start winning ties.
     """
-    R, r = len(starts), P.shape[1]
-    dists = np.stack([_euclid_dists(P, V) for V in starts])
-    tau = dists.max(axis=1)
+    G, R, r, _ = starts.shape
+    P = Q[:, None]  # (G, 1, s, r): broadcast over the starts
+    dists = _euclid_dists(P, starts)
+    tau = dists.max(axis=-1)
     # a start with tau = 0 fits exactly already: no sweep can beat it
     best_val = tau.copy()
-    best_vecs = np.empty((R, r, r))
-    improved = np.zeros(R, dtype=bool)
+    best_vecs = np.empty((G, R, r, r))
+    improved = np.zeros((G, R), dtype=bool)
     for _ in range(sweeps):
-        z = (dists - dists.max(axis=1, keepdims=True)) / np.maximum(tau, 1e-300)[:, None]
+        z = (dists - dists.max(axis=-1, keepdims=True)) / np.maximum(tau, 1e-300)[..., None]
         # quantizing the exponents keeps the candidate sequence identical
         # under exact rescalings of the input (dilation equivariance)
         z = np.floor(np.maximum(z, -60.0) * 65536.0) / 65536.0
         w = np.exp(z)
-        w /= w.sum(axis=1, keepdims=True)
-        C = (P * w[:, :, None]).swapaxes(1, 2) @ P
+        w /= w.sum(axis=-1, keepdims=True)
+        C = (P * w[..., None]).swapaxes(-1, -2) @ P
         _, vecs = np.linalg.eigh(C)
-        dists = _euclid_dists(P, vecs[:, :, ::-1][:, :, :n])
-        val = dists.max(axis=1)
+        dists = _euclid_dists(P, vecs[..., ::-1][..., :n])
+        val = dists.max(axis=-1)
         better = val < best_val
         best_val[better] = val[better]
         best_vecs[better] = vecs[better]
         improved |= better
         tau *= 0.7
-    k = int(np.argmin(best_val))
-    if not improved[k]:
-        return starts[k], float(best_val[k])
+    ks = np.argmin(best_val, axis=1)
     # a view, not a contiguous copy: B @ V rounds differently for other
     # strides, and these are the strides a single 2-d eigh gives
-    return best_vecs[k][:, ::-1][:, :n], float(best_val[k])
+    return [best_vecs[g, k][:, ::-1][:, :n] if improved[g, k] else starts[g, k]
+            for g, k in enumerate(ks)]
 
 
 def _exact_line_2d(P: np.ndarray) -> tuple[np.ndarray, float]:
@@ -224,7 +234,7 @@ def _exact_line_2d(P: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 # ---------------------------------------------------------------------------
-# single-subspace fits (shared by linear width and family clustering)
+# subspace fits (shared by linear width and family clustering)
 
 
 def _subset_seed(seed: int, idx_key: tuple[int, ...]) -> int:
@@ -234,53 +244,68 @@ def _subset_seed(seed: int, idx_key: tuple[int, ...]) -> int:
 _SNAP = 2.0**35
 
 
-def _fit_subspace(
-    P: np.ndarray,
+def _fit_subspaces(
+    clouds: list[np.ndarray],
     n: int,
-    seed: int,
+    seeds: list[int],
     restarts: int,
     sweeps: int = 50,
-) -> tuple[np.ndarray, float, bool]:
-    """Best-effort minimax subspace for P; returns (basis, value, exact_flag).
+) -> list[tuple[np.ndarray, float, bool]]:
+    """Best-effort minimax subspace for each cloud; (basis, value, exact_flag).
 
-    The search runs on a canonical representative of the dilation class:
+    Each search runs on a canonical representative of the dilation class:
     points divided by the largest norm and snapped to a 2^-35 grid.  Exactly
     rescaled inputs therefore produce bitwise-identical witnesses, and the
     returned value is re-evaluated on the original points so the upper bound
-    stays sound.
+    stays sound.  The clouds that need the iterative refinement run it as one
+    stacked _minimax_fit per (size, rank) shape.
     """
+    fits: list = [None] * len(clouds)
+    shapes: dict[tuple[int, int], list] = {}
+    for i, (P, seed) in enumerate(zip(clouds, seeds)):
+        fits[i], job = _fit_direct(P, n, seed, restarts)
+        if job is not None:
+            B, Q, starts = job
+            shapes.setdefault(Q.shape, []).append((i, B, Q, starts))
+    for group in shapes.values():
+        ids, Bs, Qs, starts = zip(*group)
+        frames = _minimax_fit(np.stack(Qs), n, np.stack(starts), sweeps)
+        for i, B, V in zip(ids, Bs, frames):
+            V = B @ V
+            fits[i] = (V, float(_euclid_dists(clouds[i], V).max()), False)
+    return fits
+
+
+def _fit_direct(P: np.ndarray, n: int, seed: int, restarts: int):
+    """The per-cloud part of a fit: scale, snap, SVD and rank.  Returns
+    ((basis, value, exact), None) from the exact paths, or (None, (B, Q,
+    starts)) for the minimax refinement of the coordinates Q = C B inside
+    the row space B from the stacked starts (R, rank, n)."""
     m, d = P.shape
     scale = float(np.max(np.linalg.norm(P, axis=1)))
+
+    def done(V, snap_val):
+        val = float(_euclid_dists(P, V).max())
+        return (V, val, abs(val - scale * snap_val) <= 1e-10 * max(1.0, val)), None
+
     if scale <= 0.0:
-        return _orthonormal_extend(np.zeros((d, 0)), n), 0.0, True
+        return done(_orthonormal_extend(np.zeros((d, 0)), n), 0.0)
     C = np.round((P / scale) * _SNAP) / _SNAP
 
-    U_, S, Vt = np.linalg.svd(C, full_matrices=False)
+    _, S, Vt = np.linalg.svd(C, full_matrices=False)
     rank = int(np.sum(S > max(1e-13, (S[0] if len(S) else 0.0) * 1e-12)))
     if n >= rank:
-        V = _orthonormal_extend(Vt[:rank].T, n)
-        exact = True
-        snap_val = 0.0
-    else:
-        # work inside the row space: the optimal subspace can be taken there
-        B = Vt[:rank].T  # d x rank
-        Q = C @ B  # m x rank coordinates
-        if n == 1 and rank == 2:
-            u, snap_val = _exact_line_2d(Q)
-            V, exact = B @ u, True
-        else:
-            starts = [np.eye(rank)[:, :n]]
-            stream = _subset_seed(seed, (m, rank, n))
-            for r in range(restarts):
-                rng = np.random.default_rng([stream, r])
-                Vr, _ = np.linalg.qr(rng.normal(size=(rank, n)))
-                starts.append(Vr[:, :n])
-            best_V, snap_val = _minimax_fit(Q, n, starts, sweeps)
-            V, exact = B @ best_V, False
-    val = float(_euclid_dists(P, V).max())
-    if exact and abs(val - scale * snap_val) > 1e-10 * max(1.0, val):
-        exact = False
-    return V, val, exact
+        return done(_orthonormal_extend(Vt[:rank].T, n), 0.0)
+    # work inside the row space: the optimal subspace can be taken there
+    B = Vt[:rank].T  # d x rank
+    Q = C @ B  # m x rank coordinates
+    if n == 1 and rank == 2:
+        u, snap_val = _exact_line_2d(Q)
+        return done(B @ u, snap_val)
+    stream = _subset_seed(seed, (m, rank, n))
+    gauss = [np.random.default_rng([stream, r]).normal(size=(rank, n)) for r in range(restarts)]
+    Vr, _ = np.linalg.qr(np.reshape(gauss, (restarts, rank, n)))
+    return None, (B, Q, np.concatenate([np.eye(rank)[None, :, :n], Vr]))
 
 
 def linear_width(
@@ -315,7 +340,7 @@ def linear_width(
     tail = S[n:] if n < len(S) else np.zeros(0)
     spectral = math.sqrt(float(np.sum(tail**2)) / m) if euclid else 0.0
 
-    V, val, exact = _fit_subspace(P, n, seed, restarts)
+    [(V, val, exact)] = _fit_subspaces([P], n, [seed], restarts)
     if not euclid:
         vals = _dists(P, V, cloud.norm)
         val = float(vals.max())
@@ -346,33 +371,38 @@ class _ClusterCache:
         self.P = P
         self.n = n
         self.seed = seed
-        self.store: dict[tuple[int, ...], tuple[np.ndarray, float, bool]] = {}
+        # an unused cluster label: a zero placeholder basis, value 0
+        self.store: dict[tuple[int, ...], tuple[np.ndarray, float, bool]] = {
+            (): (np.zeros((P.shape[1], n)), 0.0, True)}
 
-    def fit(self, idx: tuple[int, ...]) -> tuple[np.ndarray, float, bool]:
-        if idx not in self.store:
-            self.store[idx] = _fit_subspace(
-                self.P[list(idx)], self.n, _subset_seed(self.seed, idx),
-                _CLUSTER_RESTARTS, _CLUSTER_SWEEPS,
-            )
-        return self.store[idx]
+    def fit_many(self, idxs) -> list[tuple[np.ndarray, float, bool]]:
+        """Fits of the point subsets idxs; the uncached ones run as one batch,
+        in chunks of _BATCH_FLOATS."""
+        new = [idx for idx in dict.fromkeys(idxs) if idx not in self.store]
+        floats = (_CLUSTER_RESTARTS + 1) * self.P.shape[1] * max(map(len, new), default=1)
+        step = max(1, _BATCH_FLOATS // floats)
+        for k in range(0, len(new), step):
+            part = new[k:k + step]
+            self.store.update(zip(part, _fit_subspaces(
+                [self.P[list(idx)] for idx in part], self.n,
+                [_subset_seed(self.seed, idx) for idx in part],
+                _CLUSTER_RESTARTS, _CLUSTER_SWEEPS)))
+        return [self.store[idx] for idx in idxs]
+
+
+def _clusters(assign: np.ndarray, N: int) -> list[tuple[int, ...]]:
+    """The point subset of each cluster label; () for an unused label."""
+    return [tuple(np.flatnonzero(assign == c)) for c in range(N)]
 
 
 def _family_value(cache: _ClusterCache, assign: np.ndarray, N: int):
-    """Fit every cluster of an assignment; returns (bases, per-point dists)."""
-    d = cache.P.shape[1]
-    bases = []
-    exact_all = True
-    for c in range(N):
-        idx = tuple(np.flatnonzero(assign == c))
-        if not idx:
-            bases.append(np.zeros((d, cache.n)))
-            continue
-        V, _, ex = cache.fit(idx)
-        exact_all &= ex
-        bases.append(V)
+    """Fit every cluster of an assignment in one batch; returns (bases,
+    point-to-basis dists, per-point dists, all fits exact)."""
+    fits = cache.fit_many(_clusters(assign, N))
+    bases = [V for V, _, _ in fits]
     dists = np.stack([_euclid_dists(cache.P, V) for V in bases], axis=1)
     per_point = dists[np.arange(len(assign)), assign]
-    return bases, dists, per_point, exact_all
+    return bases, dists, per_point, all(ex for _, _, ex in fits)
 
 
 def _legal_frames(bases: list[np.ndarray], n: int) -> tuple[np.ndarray, ...]:
@@ -418,29 +448,66 @@ def _single_move_descent(cache: _ClusterCache, assign0: np.ndarray, N: int, max_
     return val, assign
 
 
-def _alternate(cache: _ClusterCache, assign0: np.ndarray, N: int, max_iter: int = 40):
-    assign = assign0.copy()
-    best = None  # (value, bases, assign)
+def _alternate(cache: _ClusterCache, starts: list[np.ndarray], N: int, max_iter: int = 40):
+    """Alternating cluster fit / nearest-subspace reassignment from every
+    start in lockstep: each step fits the clusters of all running starts in
+    one batch.  Each start stops at a fixed point or after max_iter steps
+    and yields its best (value, bases, assign)."""
+    assigns = [np.asarray(a0, dtype=int).copy() for a0 in starts]
+    best: list = [None] * len(starts)
+    running = list(range(len(starts)))
     for _ in range(max_iter):
-        bases, dists, per_point, _ = _family_value(cache, assign, N)
-        val = float(per_point.max())
-        if best is None or val < best[0]:
-            best = (val, bases, assign.copy())
-        new_assign = np.argmin(dists, axis=1)  # argmin ties to the lowest index
-        # re-seed empty clusters with the currently worst point
-        for c in range(N):
-            if not np.any(new_assign == c):
-                cur = dists[np.arange(len(new_assign)), new_assign]
-                order = np.lexsort((np.arange(len(cur)), -cur))
-                for cand in order:
-                    donor = new_assign[cand]
-                    if np.sum(new_assign == donor) > 1:
-                        new_assign[cand] = c
-                        break
-        if np.array_equal(new_assign, assign):
+        cache.fit_many([idx for j in running for idx in _clusters(assigns[j], N)])
+        still = []
+        for j in running:
+            assign = assigns[j]
+            bases, dists, per_point, _ = _family_value(cache, assign, N)
+            val = float(per_point.max())
+            if best[j] is None or val < best[j][0]:
+                best[j] = (val, bases, assign.copy())
+            new_assign = np.argmin(dists, axis=1)  # argmin ties to the lowest index
+            # re-seed empty clusters with the currently worst point
+            for c in range(N):
+                if not np.any(new_assign == c):
+                    cur = dists[np.arange(len(new_assign)), new_assign]
+                    order = np.lexsort((np.arange(len(cur)), -cur))
+                    for cand in order:
+                        donor = new_assign[cand]
+                        if np.sum(new_assign == donor) > 1:
+                            new_assign[cand] = c
+                            break
+            if not np.array_equal(new_assign, assign):
+                assigns[j] = new_assign
+                still.append(j)
+        running = still
+        if not running:
             break
-        assign = new_assign
     return best
+
+
+def _enumerate_partitions(cache: _ClusterCache, m: int, N: int) -> np.ndarray:
+    """Exact search over the partitions of the m points into at most N
+    clusters: every nonempty subset is fitted in one batch, and a partition
+    scores the largest value of its blocks.  Returns the least-value
+    assignment, ties going to the smallest labelled code sum_i a_i N^i.
+
+    Each partition is scored once, in its labelling of least code: labels
+    numbered by first appearance from the last point down.  These are built
+    as digit strings a_{m-1} ... a_0 in lexicographic order, which is code
+    order, so the first least value is the one the loop over all N^m
+    labelled assignments would keep.
+    """
+    rows = [[0]]
+    for _ in range(m - 1):
+        rows = [r + [c] for r in rows for c in range(min(max(r) + 2, N))]
+    labels = np.array(rows)[:, ::-1]  # column i is point i's label
+    masks = [(labels == c) @ (1 << np.arange(m)) for c in range(N)]
+
+    subsets = [tuple(i for i in range(m) if mask >> i & 1) for mask in range(1, 2**m)]
+    table = np.zeros(2**m)  # the empty block scores 0
+    table[1:] = [fit[1] for fit in cache.fit_many(subsets)]
+    values = np.max([table[mask] for mask in masks], axis=0)
+    return labels[int(np.argmin(values))].copy()
 
 
 def nonlinear_width(
@@ -454,10 +521,13 @@ def nonlinear_width(
     """Bracket on the minimax error over families of N n-dimensional subspaces
     with per-point subspace choice.
 
-    Upper bound: alternating cluster-fit / reassignment from seeded starts
-    (exact assignment enumeration on tiny instances); lower bound: the
-    spectral bound at dimension n*N, since one nN-dimensional space contains
-    any N-family.
+    Upper bound: alternating cluster-fit / reassignment from restarts + 2
+    seeded starts run in lockstep, then exact-move descent when m*N <= 80.
+    Tiny instances (m <= 9 points, N <= 3) instead fit all 2^m - 1 subsets
+    in one batch and score every partition into at most N clusters by its
+    largest cluster value; the least value wins, ties going to the smallest
+    labelled code sum_i a_i N^i.  Lower bound: the spectral bound at
+    dimension n*N, since one nN-dimensional space contains any N-family.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -497,32 +567,7 @@ def nonlinear_width(
     best = None
     restarts_used = 0
     if m <= ENUM_POINT_LIMIT and N <= ENUM_FAMILY_LIMIT and not force_heuristic:
-        # exact assignment enumeration with cached cluster fits
-        values = {}
-
-        def cluster_val(idx: tuple[int, ...]) -> float:
-            if idx not in values:
-                values[idx] = cache.fit(idx)[1]
-            return values[idx]
-
-        best_assign, best_val = None, math.inf
-        for code in range(N**m):
-            a, rem = [], code
-            for _ in range(m):
-                a.append(rem % N)
-                rem //= N
-            assign = np.array(a, dtype=int)
-            val = 0.0
-            ok = True
-            for c in range(N):
-                idx = tuple(np.flatnonzero(assign == c))
-                if idx:
-                    val = max(val, cluster_val(idx))
-                if val >= best_val:
-                    ok = False
-                    break
-            if ok and val < best_val:
-                best_val, best_assign = val, assign
+        best_assign = _enumerate_partitions(cache, m, N)
         bases, dists, per_point, exact_all = _family_value(cache, best_assign, N)
         best = (float(per_point.max()), bases, best_assign)
         method = "assignment-enumeration" + ("-exact" if exact_all else "")
@@ -536,11 +581,9 @@ def nonlinear_width(
         for r in range(restarts):
             rng = np.random.default_rng([seed & 0xFFFFFFFF, r])
             starts.append(rng.integers(0, N, size=m))
-        results = []
-        for a0 in starts:
-            cand = _alternate(cache, np.asarray(a0, dtype=int), N)
-            restarts_used += 1
-            results.append(cand)
+        results = _alternate(cache, starts, N)
+        restarts_used = len(results)
+        for cand in results:
             if best is None or cand[0] < best[0]:
                 best = cand
         method = "k-subspaces-alternation"

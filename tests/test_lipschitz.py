@@ -150,6 +150,32 @@ def test_john_polytopes_converge_at_the_default_tol():
     assert np.array_equal(jm.matrix, np.eye(5)) and jm.factor == math.sqrt(5)
 
 
+def _lp_gauge(V, x):
+    """Gauge of conv(+-V) at x: the least sum of lambda >= 0 with
+    [V; -V]^T lambda = x, one linear program."""
+    from scipy.optimize import linprog
+
+    W = np.vstack([V, -V]).T
+    res = linprog(np.ones(W.shape[1]), A_eq=W, b_eq=x, bounds=(0, None), method="highs")
+    assert res.success
+    return float(res.fun)
+
+
+def test_vertex_gauge_matches_the_lp():
+    rng = np.random.default_rng(19)
+    polytopes = [np.eye(d) for d in range(2, 6)]
+    polytopes += [rng.normal(size=(2 * d + 3, d)) for d in range(2, 9)]
+    for V in polytopes:
+        jm = john_ellipsoid(("vertices", V))
+        d = V.shape[1]
+        X = np.vstack([rng.normal(size=(12, d)), V[:3], 0.5 * (V[0] - V[1])])
+        for x in X:
+            ref = _lp_gauge(V, x)
+            assert jm.gauge(x) == pytest.approx(ref, rel=1e-9, abs=1e-12), (d, x)
+    jm = john_ellipsoid(("vertices", np.array([[1.0], [-2.0], [0.5]])))
+    assert jm.gauge(np.array([-3.0])) == 1.5
+
+
 def test_john_rejects_degenerate():
     with pytest.raises(ValueError):
         john_ellipsoid(("vertices", np.array([[1.0, 0.0], [2.0, 0.0]])))

@@ -1,8 +1,11 @@
+import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from widthlab import lipschitz
 from widthlab.cli import main
 from widthlab.runner import ConfigError, parse_config, run
 
@@ -152,3 +155,49 @@ def test_cli_main(smoke_config, tmp_path):
                  "--jobs", "2", "--quiet"])
     assert code == 0
     assert (tmp_path / "cli_out" / "results.csv").exists()
+
+
+LIPSCHITZ = """
+[lip]
+kind = lipschitz
+set = cloud
+cloud_points = 6
+cloud_dim = 3
+n = 1
+big_n = 2
+pairs = 500
+seed = 4
+"""
+
+
+def _lipschitz_rows(tmp_path, name):
+    p = tmp_path / f"{name}.cfg"
+    p.write_text(LIPSCHITZ)
+    code = run(p, out_dir=tmp_path / name, quiet=True)
+    with open(tmp_path / name / "results.csv") as fh:
+        rows = {r["quantity"]: r for r in csv.DictReader(fh)}
+    verdicts = json.loads((tmp_path / name / "verdicts.json").read_text())
+    return code, rows, {v["check"]: v for v in verdicts}
+
+
+def test_refuted_lipschitz_constant_is_reported(tmp_path, monkeypatch):
+    code, rows, verdicts = _lipschitz_rows(tmp_path, "honest")
+    assert code == 0
+    for name in ("phi", "psi"):
+        row = rows[f"lipschitz_{name}"]
+        assert row["method"] == "sampled-pairs/claimed-constant"
+        assert float(row["lower"]) <= float(row["upper"]) < math.inf
+        assert verdicts[f"lip:lipschitz-{name}-bound"]["status"] == "holds"
+
+    monkeypatch.setattr(lipschitz, "estimate_lipschitz",
+                        lambda spec, pairs, seed: 1.5 * spec.gamma)
+    code, rows, verdicts = _lipschitz_rows(tmp_path, "refuted")
+    assert code == 2
+    for name in ("phi", "psi"):
+        row = rows[f"lipschitz_{name}"]
+        gamma = float(verdicts[f"lip:lipschitz-{name}-bound"]["witness"]) / 1.5
+        assert row["method"] == "sampled-pairs/claimed-constant-refuted"
+        assert float(row["lower"]) == pytest.approx(1.5 * gamma, rel=1e-12)
+        assert float(row["upper"]) == math.inf
+        assert row["exact"] == "false"
+        assert verdicts[f"lip:lipschitz-{name}-bound"]["status"] == "violated"

@@ -7,13 +7,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from widthlab import widths
 from widthlab.spaces import CompactSetModel, NormSpec, scale_set, sigma_value
 from widthlab.widths import (
     _CLUSTER_RESTARTS,
     _CLUSTER_SWEEPS,
     _SNAP,
+    _ClusterCache,
     _exact_line_2d,
-    _fit_subspace,
+    _family_value,
+    _fit_subspaces,
+    _legal_frames,
+    _orthonormal_extend,
     _subset_seed,
     dist_to_subspace,
     ksigma_nonlinear_width_upper,
@@ -264,7 +269,8 @@ def _refine_one_start(P, n, V0, sweeps):
 
 
 def _reference_fit(P, n, seed, restarts, sweeps):
-    """The minimax-refine path of _fit_subspace with sequential restarts."""
+    """_fit_subspaces one cloud at a time: the exact paths, and the
+    minimax-refine path with sequential restarts."""
     m = P.shape[0]
     scale = float(np.max(np.linalg.norm(P, axis=1)))
     C = np.round((P / scale) * _SNAP) / _SNAP
@@ -272,14 +278,19 @@ def _reference_fit(P, n, seed, restarts, sweeps):
     rank = int(np.sum(S > max(1e-13, S[0] * 1e-12)))
     B = Vt[:rank].T
     Q = C @ B
-    best_V, best_val = _refine_one_start(Q, n, np.eye(rank)[:, :n], sweeps)
-    for r in range(restarts):
-        rng = np.random.default_rng([_subset_seed(seed, (m, rank, n)), r])
-        Vr, _ = np.linalg.qr(rng.normal(size=(rank, n)))
-        Vc, val = _refine_one_start(Q, n, Vr[:, :n], sweeps)
-        if val < best_val:
-            best_V, best_val = Vc, val
-    V = B @ best_V
+    if n >= rank:
+        V = _orthonormal_extend(B, n)
+    elif n == 1 and rank == 2:
+        V = B @ _exact_line_2d(Q)[0]
+    else:
+        best_V, best_val = _refine_one_start(Q, n, np.eye(rank)[:, :n], sweeps)
+        for r in range(restarts):
+            rng = np.random.default_rng([_subset_seed(seed, (m, rank, n)), r])
+            Vr, _ = np.linalg.qr(rng.normal(size=(rank, n)))
+            Vc, val = _refine_one_start(Q, n, Vr[:, :n], sweeps)
+            if val < best_val:
+                best_V, best_val = Vc, val
+        V = B @ best_V
     return V, float(_ref_dists(P, V).max())
 
 
@@ -291,14 +302,186 @@ def _reference_fit(P, n, seed, restarts, sweeps):
     (16, 4, 1, _CLUSTER_RESTARTS, _CLUSTER_SWEEPS, None),
 ])
 def test_batched_fit_matches_sequential_restarts(m, d, n, restarts, sweeps, rank):
+    # three clouds of one shape: one stacked solve over their starts
+    clouds = []
     for trial in range(3):
         rng = np.random.default_rng([31, m, d, trial])
         if rank is None:
-            P = rng.normal(size=(m, d))
+            clouds.append(rng.normal(size=(m, d)))
         else:
-            P = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, d))
-        V, val, exact = _fit_subspace(P, n, trial, restarts, sweeps)
+            clouds.append(rng.normal(size=(m, rank)) @ rng.normal(size=(rank, d)))
+    fits = _fit_subspaces(clouds, n, [0, 1, 2], restarts, sweeps)
+    for trial, (P, (V, val, exact)) in enumerate(zip(clouds, fits)):
         V_ref, val_ref = _reference_fit(P, n, trial, restarts, sweeps)
         assert not exact
         assert np.array_equal(V, V_ref)
         assert val == val_ref
+        # alone, as linear_width fits it
+        V1, val1, exact1 = _fit_subspaces([P], n, [trial], restarts, sweeps)[0]
+        assert np.array_equal(V1, V_ref)
+        assert val1 == val_ref
+        assert not exact1
+
+
+def _count_minimax_calls(monkeypatch):
+    """Wrap _minimax_fit; returns the list of stack sizes G of its calls."""
+    calls = []
+    inner = widths._minimax_fit
+
+    def counted(Q, n, starts, sweeps):
+        calls.append(len(Q))
+        return inner(Q, n, starts, sweeps)
+
+    monkeypatch.setattr(widths, "_minimax_fit", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_fit_many_matches_per_subset_fits(n, monkeypatch):
+    rng = np.random.default_rng([41, n])
+    P = np.vstack([
+        rng.normal(size=(6, 2)) @ rng.normal(size=(2, 5)),  # a plane: rank 2
+        rng.normal(size=(6, 3)) @ rng.normal(size=(3, 5)),  # rank 3
+        rng.normal(size=(6, 5)),
+    ])
+    idxs = [tuple(range(6)), tuple(range(3)), (1, 4), (2,), (0, 6), tuple(range(6, 12))]
+    for size in (2, 3, 4, 5, 7, 9):
+        for _ in range(5):
+            idxs.append(tuple(sorted(rng.choice(len(P), size=size, replace=False).tolist())))
+    calls = _count_minimax_calls(monkeypatch)
+    cache = _ClusterCache(P, n, seed=13)
+    fits = cache.fit_many(idxs + idxs[:4])
+    assert max(calls) > 1  # subsets of one shape share a stacked solve
+    assert len(calls) < len(set(idxs))
+    paths = set()
+    for idx, (V, val, exact) in zip(idxs + idxs[:4], fits):
+        Ps = P[list(idx)]
+        V_ref, val_ref = _reference_fit(Ps, n, _subset_seed(13, idx),
+                                        _CLUSTER_RESTARTS, _CLUSTER_SWEEPS)
+        assert np.array_equal(V, V_ref), idx
+        assert val == val_ref, idx
+        assert cache.fit_many([idx])[0][0] is V  # cached, not refitted
+        rank = np.linalg.matrix_rank(Ps)
+        paths.add("exact" if n >= rank else "line" if (n, rank) == (1, 2) else f"refine-{rank}")
+    assert {"exact", "refine-3", "refine-5"} <= paths
+    assert ("line" in paths) == (n == 1)
+
+
+def test_fit_many_runs_large_batches_in_chunks(monkeypatch):
+    rng = np.random.default_rng(59)
+    P = rng.normal(size=(40, 30))
+    idxs = [tuple(sorted(rng.choice(40, size=25, replace=False).tolist())) for _ in range(12)]
+    whole = _ClusterCache(P, 2, 5).fit_many(idxs)
+    per_subset = (_CLUSTER_RESTARTS + 1) * 30 * 25
+    monkeypatch.setattr(widths, "_BATCH_FLOATS", 4 * per_subset)
+    calls = _count_minimax_calls(monkeypatch)
+    chunked = _ClusterCache(P, 2, 5).fit_many(idxs)
+    assert calls == [4, 4, 4]
+    for (V, val, _), (W, wal, _) in zip(whole, chunked):
+        assert np.array_equal(V, W) and val == wal
+
+
+def _labelled_enumeration(cache, m, N):
+    """The loop over all N^m labelled assignments, first strict minimum
+    wins; also returns every partition that reaches the least value.  The
+    subset values come in one batch: the fits themselves are pinned to the
+    one-subset reference by test_fit_many_matches_per_subset_fits."""
+    subsets = [s for k in range(1, m + 1) for s in itertools.combinations(range(m), k)]
+    values = {(): 0.0, **{s: fit[1] for s, fit in zip(subsets, cache.fit_many(subsets))}}
+    best_assign, best_val, ties = None, math.inf, set()
+    for code in range(N**m):
+        a = [code // N**i % N for i in range(m)]
+        blocks = [tuple(i for i in range(m) if a[i] == c) for c in range(N)]
+        val = max(values[idx] for idx in blocks)
+        if val < best_val:
+            best_val, best_assign, ties = val, np.array(a), set()
+        if val == best_val:
+            ties.add(frozenset(blocks) - {()})
+    return best_assign, ties
+
+
+def _tie_cloud(rng, m, d, twist):
+    P = rng.normal(size=(m, d))
+    if twist == "duplicate":
+        P[m // 2:] = P[: m - m // 2]
+    elif twist == "antipodal":
+        P[m // 2:] = -P[: m - m // 2]
+    elif twist == "lattice":
+        P = np.round(2 * P) / 2
+    return P
+
+
+@pytest.mark.parametrize("twist", ["plain", "duplicate", "antipodal", "lattice"])
+def test_partition_enumeration_matches_labelled_loop(twist):
+    ties = 0
+    for t, (m, N, d, n) in enumerate([(5, 2, 2, 1), (6, 3, 3, 1), (7, 2, 3, 1),
+                                      (8, 3, 4, 2), (9, 3, 3, 1), (9, 2, 4, 2)]):
+        rng = np.random.default_rng([43, t, len(twist)])
+        P = _tie_cloud(rng, m, d, twist)
+        res = nonlinear_width(CompactSetModel.cloud(P), n, N, seed=t)
+        assert res.witness.achieved == res.bracket.upper
+        assert res.bracket.upper_method.startswith("assignment-enumeration")
+        cache = _ClusterCache(P, n, t)
+        ref, best_parts = _labelled_enumeration(cache, m, N)
+        bases, dists, per_point, _ = _family_value(cache, ref, N)
+        assert np.array_equal(res.witness.assignment, ref)
+        assert all(np.array_equal(V, W) for V, W in zip(res.witness.bases, _legal_frames(bases, n)))
+        assert res.witness.achieved == float(per_point.max())
+        ties += len(best_parts) > 1
+    assert ties > 0
+
+
+def _alternate_sequential(cache, starts, N, max_iter=40):
+    """Alternation one start at a time, each run to its end in turn."""
+    out = []
+    for a0 in starts:
+        assign = np.asarray(a0, dtype=int).copy()
+        best = None
+        for _ in range(max_iter):
+            bases, dists, per_point, _ = _family_value(cache, assign, N)
+            val = float(per_point.max())
+            if best is None or val < best[0]:
+                best = (val, bases, assign.copy())
+            new_assign = np.argmin(dists, axis=1)
+            for c in range(N):
+                if not np.any(new_assign == c):
+                    cur = dists[np.arange(len(new_assign)), new_assign]
+                    order = np.lexsort((np.arange(len(cur)), -cur))
+                    for cand in order:
+                        donor = new_assign[cand]
+                        if np.sum(new_assign == donor) > 1:
+                            new_assign[cand] = c
+                            break
+            if np.array_equal(new_assign, assign):
+                break
+            assign = new_assign
+        out.append(best)
+    return out
+
+
+@pytest.mark.parametrize("m, d, n, N, restarts", [
+    (16, 4, 1, 2, 32), (14, 4, 1, 3, 32), (18, 5, 2, 2, 8), (30, 3, 1, 4, 6), (12, 3, 1, 2, 32),
+])
+def test_lockstep_alternation_matches_sequential_starts(m, d, n, N, restarts, monkeypatch):
+    for trial in range(2):
+        rng = np.random.default_rng([47, m, trial])
+        P = _tie_cloud(rng, m, d, "duplicate" if trial else "plain")
+        K = CompactSetModel.cloud(P)
+        res = nonlinear_width(K, n, N, seed=trial, restarts=restarts, force_heuristic=True)
+        with monkeypatch.context() as mp:
+            mp.setattr(widths, "_alternate", _alternate_sequential)
+            ref = nonlinear_width(K, n, N, seed=trial, restarts=restarts, force_heuristic=True)
+        assert res.bracket == ref.bracket
+        assert res.restarts_used == ref.restarts_used == restarts + 2
+        assert res.witness.assignment.tobytes() == ref.witness.assignment.tobytes()
+        assert [V.tobytes() for V in res.witness.bases] == [V.tobytes() for V in ref.witness.bases]
+        assert res.witness.achieved == ref.witness.achieved
+
+
+def test_nine_point_family_search_stacks_its_fits(monkeypatch):
+    P = np.random.default_rng(53).normal(size=(9, 3))
+    calls = _count_minimax_calls(monkeypatch)
+    res = nonlinear_width(CompactSetModel.cloud(P), 1, 3, seed=2)
+    assert res.bracket.upper_method.startswith("assignment-enumeration")
+    assert 0 < len(calls) <= 9
+    assert sum(calls) == sum(math.comb(9, s) for s in range(3, 10))
