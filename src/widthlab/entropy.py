@@ -24,6 +24,7 @@ import numpy as np
 from .spaces import (
     Bracket,
     CompactSetModel,
+    chebyshev_radius,
     sigma_pow2_index,
     sigma_value,
 )
@@ -432,11 +433,14 @@ def entropy_number(
     """Bracket on the n-th (inner) entropy number: the radius threshold at
     which 2^n balls suffice.
 
-    Inner numbers of clouds with at most exact_limit points are a pairwise
-    distance: a binary search over the sorted distinct distances, deciding
-    each by an exact branch-and-bound cover count, returns it as an exact
-    bracket.  Otherwise, or when a count exhausts node_budget, the upper side
-    bisects the greedy cover (plus, for outer numbers on small clouds, the
+    e_0 has closed forms: the inner one is the one-center radius
+    min_i max_j d(x_i, x_j), and the outer one of a euclidean or max-norm
+    cloud is its Chebyshev radius (`chebyshev_radius`).  Other inner numbers
+    of clouds with at most exact_limit points are a pairwise distance: a
+    binary search over the sorted distinct distances, deciding each by an
+    exact branch-and-bound cover count, returns it as an exact bracket.
+    Otherwise, or when a count exhausts node_budget, the upper side bisects
+    the greedy cover (plus, for outer numbers on small clouds, the
     candidate-pool cover) and the lower side keeps the largest radius at
     which a packing at doubled radius shows that 2^n balls cannot suffice,
     both to width tol.
@@ -450,6 +454,10 @@ def entropy_number(
                        lower_method="ball-per-point", upper_method="ball-per-point")
 
     hi0 = geom.one_center_radius()
+    if n == 0 and inner:
+        return Bracket(hi0, hi0, exact=True, lower_method="one-center", upper_method="one-center")
+    if n == 0 and (geom.norm.is_euclidean or geom.norm.kind == "max"):
+        return chebyshev_radius(geom.model)
     if inner and geom.m <= exact_limit:
         # one ball on the one-center point covers at hi0, so the threshold is
         # the least distance up to hi0 at which 2^n balls cover

@@ -13,8 +13,9 @@ where two of them cross or one vanishes, and those are the directions above.
 A family search fits many point subsets.  Each subset is scaled, snapped and
 reduced on its own, and the subsets left to the iterative refinement run it
 as one stacked solve per (size, rank) shape, bitwise as they would alone:
-all subsets at once for the partition search, and the clusters of every
-running start at each step of the alternation.
+all subsets at once for the partition search, the clusters of every running
+start at each step of the alternation, and the trial subsets of every running
+descent's full scan at each step of the move descents.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ _LINE_BLOCK = 1024
 # starts and sweeps of every cluster fit in the family searches
 _CLUSTER_RESTARTS = 2
 _CLUSTER_SWEEPS = 20
+# steps of each alternation start and of each move descent, and how many of
+# the best distinct alternation results the descents polish
+_ALTERNATION_STEPS = 40
+_DESCENT_STEPS = 200
+_DESCENT_STARTS = 4
 # a batch of cluster fits runs in chunks of at most this many floats of
 # (restarts + 1) * size * dimension, so its memory stays flat in the batch size
 _BATCH_FLOATS = 2**17
@@ -374,6 +380,7 @@ class _ClusterCache:
         # an unused cluster label: a zero placeholder basis, value 0
         self.store: dict[tuple[int, ...], tuple[np.ndarray, float, bool]] = {
             (): (np.zeros((P.shape[1], n)), 0.0, True)}
+        self.spreads: dict[tuple[int, ...], float] = {(): 0.0}
 
     def fit_many(self, idxs) -> list[tuple[np.ndarray, float, bool]]:
         """Fits of the point subsets idxs; the uncached ones run as one batch,
@@ -388,6 +395,15 @@ class _ClusterCache:
                 [_subset_seed(self.seed, idx) for idx in part],
                 _CLUSTER_RESTARTS, _CLUSTER_SWEEPS)))
         return [self.store[idx] for idx in idxs]
+
+    def spread(self, idx) -> float:
+        """Largest distance of the fitted points idx to their subspace, read
+        from their distances in the whole cloud as _family_value reads them;
+        0 for an empty cluster."""
+        if idx not in self.spreads:
+            dists = _euclid_dists(self.P, self.store[idx][0])
+            self.spreads[idx] = float(dists[list(idx)].max())
+        return self.spreads[idx]
 
 
 def _clusters(assign: np.ndarray, N: int) -> list[tuple[int, ...]]:
@@ -413,50 +429,65 @@ def _legal_frames(bases: list[np.ndarray], n: int) -> tuple[np.ndarray, ...]:
     )
 
 
-def _single_move_descent(cache: _ClusterCache, assign0: np.ndarray, N: int, max_steps: int = 200):
-    """First-improvement descent over single point moves, evaluating the
-    refit value.
+def _move_descents(cache: _ClusterCache, starts: list[np.ndarray], N: int):
+    """First-improvement descents over single point moves from every start,
+    in lockstep, evaluating each move by the refit family value.
 
     Unlike nearest-subspace reassignment, a move is accepted only when the
     full fit/evaluate cycle lowers the family objective, so this escapes the
-    non-monotone alternation fixed points on small instances.  The move
-    order (point index, then cluster index) is fixed, keeping the descent
-    deterministic.
+    non-monotone alternation fixed points on small instances.  Each step fits
+    the trial subsets of every running descent's full scan in one batch (for
+    a point i of cluster a: cluster a without i, and each other cluster with
+    i); each descent then walks its moves in a fixed (point index, cluster
+    index) order and takes the first strict improvement.  A descent stops
+    when a scan finds none or after _DESCENT_STEPS steps.  Returns each
+    start's (value, assign).
     """
-    assign = assign0.copy()
-    _, _, per_point, _ = _family_value(cache, assign, N)
-    val = float(per_point.max())
-    m = len(assign)
-    for _ in range(max_steps):
-        accepted = False
-        for i in range(m):
-            for c in range(N):
-                if c == assign[i]:
-                    continue
-                trial = assign.copy()
-                trial[i] = c
-                _, _, pp, _ = _family_value(cache, trial, N)
-                v = float(pp.max())
-                if v < val - 1e-15:
-                    assign, val = trial, v
-                    accepted = True
+    assigns = [np.asarray(a0, dtype=int).copy() for a0 in starts]
+    vals = [math.inf] * len(starts)
+    running = list(range(len(starts)))
+    for _ in range(_DESCENT_STEPS):
+        scans = {j: _move_subsets(assigns[j], N) for j in running}
+        cache.fit_many([idx for j in running for idx in _clusters(assigns[j], N)]
+                       + [idx for j in running for move in scans[j] for idx in move[2:]])
+        still = []
+        for j in running:
+            assign = assigns[j]
+            members = _clusters(assign, N)
+            spreads = [cache.spread(idx) for idx in members]
+            vals[j] = max(spreads)
+            for i, c, drop, add in scans[j]:
+                a = assign[i]
+                rest = [s for k, s in enumerate(spreads) if k != a and k != c]
+                v = max(rest + [cache.spread(drop), cache.spread(add)])
+                if v < vals[j] - 1e-15:
+                    assign[i] = c
+                    vals[j] = v
+                    still.append(j)
                     break
-            if accepted:
-                break
-        if not accepted:
+        running = still
+        if not running:
             break
-    return val, assign
+    return list(zip(vals, assigns))
 
 
-def _alternate(cache: _ClusterCache, starts: list[np.ndarray], N: int, max_iter: int = 40):
+def _move_subsets(assign: np.ndarray, N: int) -> list:
+    """Every single point move (i, c) of an assignment in scan order, with
+    the two clusters it changes: (i, c, cluster a without i, cluster c with i)."""
+    members = _clusters(assign, N)
+    return [(i, c, tuple(j for j in members[a] if j != i), tuple(sorted(members[c] + (i,))))
+            for i, a in enumerate(assign.tolist()) for c in range(N) if c != a]
+
+
+def _alternate(cache: _ClusterCache, starts: list[np.ndarray], N: int):
     """Alternating cluster fit / nearest-subspace reassignment from every
     start in lockstep: each step fits the clusters of all running starts in
-    one batch.  Each start stops at a fixed point or after max_iter steps
-    and yields its best (value, bases, assign)."""
+    one batch.  Each start stops at a fixed point or after
+    _ALTERNATION_STEPS steps and yields its best (value, bases, assign)."""
     assigns = [np.asarray(a0, dtype=int).copy() for a0 in starts]
     best: list = [None] * len(starts)
     running = list(range(len(starts)))
-    for _ in range(max_iter):
+    for _ in range(_ALTERNATION_STEPS):
         cache.fit_many([idx for j in running for idx in _clusters(assigns[j], N)])
         still = []
         for j in running:
@@ -522,7 +553,9 @@ def nonlinear_width(
     with per-point subspace choice.
 
     Upper bound: alternating cluster-fit / reassignment from restarts + 2
-    seeded starts run in lockstep, then exact-move descent when m*N <= 80.
+    seeded starts run in lockstep; when m*N <= 80, single-move descents from
+    the _DESCENT_STARTS best distinct results then run in lockstep too, with
+    one batch of fits per step for every descent's full scan.
     Tiny instances (m <= 9 points, N <= 3) instead fit all 2^m - 1 subsets
     in one batch and score every partition into at most N clusters by its
     largest cluster value; the least value wins, ties going to the smallest
@@ -589,16 +622,9 @@ def nonlinear_width(
         method = "k-subspaces-alternation"
         if m * N <= 80:
             # polish the leading alternation candidates by exact-move descent
-            results.sort(key=lambda t: t[0])
-            seen: set[tuple[int, ...]] = set()
-            for cand in results:
-                key = tuple(cand[2])
-                if key in seen:
-                    continue
-                seen.add(key)
-                if len(seen) > 4:
-                    break
-                v, a = _single_move_descent(cache, cand[2], N)
+            ranked = dict.fromkeys(tuple(a) for _, _, a in sorted(results, key=lambda t: t[0]))
+            leaders = [np.array(a) for a in list(ranked)[:_DESCENT_STARTS]]
+            for v, a in _move_descents(cache, leaders, N):
                 if v < best[0]:
                     bases, _, pp, _ = _family_value(cache, a, N)
                     best = (float(pp.max()), bases, a)

@@ -163,6 +163,23 @@ def test_entropy_number_examples():
     assert br.lower == br.upper == 0.0
 
 
+@pytest.mark.parametrize("norm", [NormSpec("euclidean", 4), NormSpec("max", 4),
+                                  NormSpec("pnorm", 4, p=1.5)])
+def test_zeroth_entropy_numbers_are_closed_forms(norm):
+    K = CompactSetModel.cloud(np.random.default_rng([61, 0]).normal(size=(60, 4)), norm)
+    assert K.size > entropy.EXACT_COVER_POINT_LIMIT
+    r = float(np.min(np.max(norm.pairwise(K.points), axis=1)))
+    inner = entropy_number(K, 0, inner=True)
+    assert inner.exact and inner.lower == inner.upper == r
+    assert inner.lower_method == inner.upper_method == "one-center"
+    outer = entropy_number(K, 0, inner=False)
+    if norm.kind == "pnorm":
+        assert outer.upper_method == "greedy" and not outer.exact
+    else:
+        assert outer == chebyshev_radius(K) and outer.exact
+        assert outer.upper <= inner.upper
+
+
 def test_entropy_monotone_in_n():
     rng = np.random.default_rng(9)
     K = CompactSetModel.cloud(rng.normal(size=(20, 3)))

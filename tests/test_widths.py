@@ -10,14 +10,18 @@ from hypothesis import strategies as st
 from widthlab import widths
 from widthlab.spaces import CompactSetModel, NormSpec, scale_set, sigma_value
 from widthlab.widths import (
+    _ALTERNATION_STEPS,
     _CLUSTER_RESTARTS,
     _CLUSTER_SWEEPS,
+    _DESCENT_STARTS,
+    _DESCENT_STEPS,
     _SNAP,
     _ClusterCache,
     _exact_line_2d,
     _family_value,
     _fit_subspaces,
     _legal_frames,
+    _move_descents,
     _orthonormal_extend,
     _subset_seed,
     dist_to_subspace,
@@ -431,7 +435,7 @@ def test_partition_enumeration_matches_labelled_loop(twist):
     assert ties > 0
 
 
-def _alternate_sequential(cache, starts, N, max_iter=40):
+def _alternate_sequential(cache, starts, N, max_iter=_ALTERNATION_STEPS):
     """Alternation one start at a time, each run to its end in turn."""
     out = []
     for a0 in starts:
@@ -485,3 +489,106 @@ def test_nine_point_family_search_stacks_its_fits(monkeypatch):
     assert res.bracket.upper_method.startswith("assignment-enumeration")
     assert 0 < len(calls) <= 9
     assert sum(calls) == sum(math.comb(9, s) for s in range(3, 10))
+
+
+def _single_move_descent(cache, assign0, N, max_steps=_DESCENT_STEPS):
+    """One descent at a time, fitting each trial move's clusters as it is
+    walked: the first strict improvement in (point, cluster) order wins."""
+    assign = assign0.copy()
+    _, _, per_point, _ = _family_value(cache, assign, N)
+    val = float(per_point.max())
+    m = len(assign)
+    for _ in range(max_steps):
+        accepted = False
+        for i in range(m):
+            for c in range(N):
+                if c == assign[i]:
+                    continue
+                trial = assign.copy()
+                trial[i] = c
+                _, _, pp, _ = _family_value(cache, trial, N)
+                v = float(pp.max())
+                if v < val - 1e-15:
+                    assign, val = trial, v
+                    accepted = True
+                    break
+            if accepted:
+                break
+        if not accepted:
+            break
+    return val, assign
+
+
+def _descent_leaders(results):
+    """The descents' starts as the seen-set loop picked them: the first
+    distinct assignments of the value-sorted alternation results."""
+    seen, leaders = set(), []
+    for _, _, a in sorted(results, key=lambda t: t[0]):
+        if tuple(a) in seen:
+            continue
+        seen.add(tuple(a))
+        if len(seen) > _DESCENT_STARTS:
+            break
+        leaders.append(a)
+    return leaders
+
+
+@pytest.mark.parametrize("twist", ["plain", "duplicate", "collinear"])
+def test_lockstep_descents_match_sequential_descents(twist, monkeypatch):
+    for t, (m, d, n, N) in enumerate([(12, 3, 1, 2), (16, 4, 2, 2), (20, 3, 1, 3),
+                                      (14, 4, 2, 3), (28, 3, 1, 2)]):
+        assert m * N <= 80
+        rng = np.random.default_rng([71, t, len(twist)])
+        P = _tie_cloud(rng, m, d, twist if twist != "collinear" else "plain")
+        if twist == "collinear":
+            P[: m // 2] = np.outer(rng.normal(size=m // 2), P[0])
+        K = CompactSetModel.cloud(P)
+        runs = []
+        alternate = widths._alternate
+
+        def spy(descents):
+            def run(cache, starts, N):
+                out = descents(cache, starts, N)
+                runs.append((starts, out))
+                return out
+            return run
+
+        def alternate_spy(cache, starts, N):
+            runs.append(alternate(cache, starts, N))
+            return runs[-1]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(widths, "_alternate", alternate_spy)
+            mp.setattr(widths, "_move_descents", spy(widths._move_descents))
+            res = nonlinear_width(K, n, N, seed=t, restarts=6)
+            mp.setattr(widths, "_move_descents", spy(lambda cache, starts, N: [
+                _single_move_descent(cache, a, N) for a in starts]))
+            ref = nonlinear_width(K, n, N, seed=t, restarts=6)
+        results, (starts, lockstep), _, (_, sequential) = runs
+        assert [a.tobytes() for a in starts] == [a.tobytes() for a in _descent_leaders(results)]
+        for (v, a), (v_ref, a_ref) in zip(lockstep, sequential, strict=True):
+            assert v == v_ref and a.tobytes() == a_ref.tobytes()
+        assert res.bracket.upper_method == "k-subspaces-alternation+move-descent"
+        assert res.bracket == ref.bracket
+        assert res.restarts_used == ref.restarts_used == 8
+        assert res.witness.assignment.tobytes() == ref.witness.assignment.tobytes()
+        assert [V.tobytes() for V in res.witness.bases] == [V.tobytes() for V in ref.witness.bases]
+
+
+def test_move_descents_fit_each_scan_in_one_batch(monkeypatch):
+    # the one-move-at-a-time loop made 140 _minimax_fit calls on this cloud
+    P = np.random.default_rng([67, 0]).normal(size=(16, 3))
+    calls = _count_minimax_calls(monkeypatch)
+    phase = []
+    descents = widths._move_descents
+
+    def counted(cache, starts, N):
+        before = len(calls)
+        out = descents(cache, starts, N)
+        phase.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(widths, "_move_descents", counted)
+    res = nonlinear_width(CompactSetModel.cloud(P), 1, 2, seed=0)
+    assert res.bracket.upper_method.endswith("+move-descent")
+    assert len(phase) == 1 and 0 < phase[0] <= 30
