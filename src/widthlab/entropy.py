@@ -433,9 +433,9 @@ def entropy_number(
     """Bracket on the n-th (inner) entropy number: the radius threshold at
     which 2^n balls suffice.
 
-    e_0 has closed forms: the inner one is the one-center radius
-    min_i max_j d(x_i, x_j), and the outer one of a euclidean or max-norm
-    cloud is its Chebyshev radius (`chebyshev_radius`).  Other inner numbers
+    The inner e_0 is the one-center radius min_i max_j d(x_i, x_j), and the
+    outer one the Chebyshev radius (`chebyshev_radius`), exact for
+    euclidean and max-norm clouds.  Other inner numbers
     of clouds with at most exact_limit points are a pairwise distance: a
     binary search over the sorted distinct distances, deciding each by an
     exact branch-and-bound cover count, returns it as an exact bracket.
@@ -456,7 +456,7 @@ def entropy_number(
     hi0 = geom.one_center_radius()
     if n == 0 and inner:
         return Bracket(hi0, hi0, exact=True, lower_method="one-center", upper_method="one-center")
-    if n == 0 and (geom.norm.is_euclidean or geom.norm.kind == "max"):
+    if n == 0:
         return chebyshev_radius(geom.model)
     if inner and geom.m <= exact_limit:
         # one ball on the one-center point covers at hi0, so the threshold is

@@ -238,7 +238,7 @@ def check_width_chain(K: CompactSetModel, n: int, N: int, seed: int = 0,
     """Builds the bump-system map from the N-subspace witness and verifies
     that its fixed-width upper bound does not exceed the width upper bound
     (the chart anchors realize every assignment distance).  On non-euclidean
-    clouds both sides come from descent heuristics, so an excess is
+    clouds the fixed-width side is a descent heuristic, so an excess is
     indeterminate rather than a violation."""
     cloud = K.as_cloud()
     s = sup_norm(cloud)
@@ -247,34 +247,22 @@ def check_width_chain(K: CompactSetModel, n: int, N: int, seed: int = 0,
         return Verdict("width-chain", HOLDS, 0.0, window, "degenerate zero set")
     scaled = scale_set(cloud, 1.0 / s)
     euclid = cloud.norm.is_euclidean
+    # off the euclidean norm the witness is fitted in it and measured in the cloud's
+    fit = scaled if euclid else CompactSetModel.cloud(scaled.points, label=scaled.label)
     try:
-        if euclid:
-            wr = nonlinear_width(scaled, n, N, seed=seed)
-            target = wr.bracket.upper
-            bases = wr.witness.bases
-        else:
-            helper = CompactSetModel.cloud(scaled.points, label=scaled.label)
-            wr = nonlinear_width(helper, n, N, seed=seed)
-            bases = wr.witness.bases
-            from .widths import dist_to_subspace
-
-            target = max(
-                dist_to_subspace(p, bases[wr.witness.assignment[i]], cloud.norm)
-                for i, p in enumerate(scaled.points)
-            )
+        wr = nonlinear_width(fit, n, N, seed=seed)
     except ValueError as exc:
         return Verdict("width-chain", INDETERMINATE, None, window, f"solver guard: {exc}")
-    if euclid:
-        spec = build_psi(bases, scaled.norm)
-    else:
-        spec = build_theta_xi(bases, scaled.norm)[1]
+    bases = wr.witness.bases
+    target = wr.bracket.upper if euclid else float(wr.witness.distances(scaled).max())
+    spec = build_psi(bases, scaled.norm) if euclid else build_theta_xi(bases, scaled.norm)[1]
     fw = fixed_width_upper(scaled, spec)
     details = f"fixed-width {fw * s:.6g} vs width upper {target * s:.6g} (normalized set)"
     if fw <= target + tol:
         return Verdict("width-chain", HOLDS, fw * s, window, details)
     if not euclid:
-        # both sides are descent upper bounds here, so a larger fixed width
-        # proves nothing against the width
+        # the fixed width is a descent's upper bound here, so its excess
+        # over the witness's exact distances proves nothing
         return Verdict("width-chain", INDETERMINATE, fw * s, window, details)
     return Verdict("width-chain", VIOLATED, fw * s, window, details)
 

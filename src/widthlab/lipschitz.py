@@ -384,11 +384,7 @@ def _john_charts(bases, ambient: NormSpec, directions: int = 8192):
             rng = np.random.default_rng(0)
             V = rng.normal(size=(directions, n))
             V /= np.linalg.norm(V, axis=1, keepdims=True)
-            Z = V @ U.T
-            zn = np.asarray(ambient.norm(Z), dtype=float).reshape(-1)
-            Zb = Z / zn[:, None]
-            G = np.sign(Zb) * np.abs(Zb) ** (ambient.p - 1.0)
-            A = G @ U
+            A = ambient.dual(V @ U.T) @ U
             phi = john_ellipsoid(("facets", A), tol=1e-10).matrix
             # shrink until the sampled gauge is inside the true ball
             img = V @ (U @ phi).T

@@ -6,6 +6,8 @@ sequence family ``{s_j e_j} U {0}`` with s_j = 1/[log2 log2 (j+3)]^alpha,
 truncated at a caller-chosen index J.  All operations here are pure functions
 on immutable inputs.  One away-step simplex ascent (``_away_step_simplex``)
 solves the euclidean enclosing ball here and the John ellipsoid in lipschitz.
+The enclosing ball of an l_p cloud comes from a small convex solve: an LP on
+sign-vector cuts for l1, an epigraph SLSQP for 1 < p < inf.
 """
 
 from __future__ import annotations
@@ -70,6 +72,11 @@ class NormSpec:
         else:
             v = np.sum(np.abs(x) ** self.p, axis=-1) ** (1.0 / self.p)
         return v if x.ndim > 1 else float(v)
+
+    def dual(self, x: np.ndarray) -> np.ndarray:
+        """Dual vectors g of the rows of x under an l_p norm: g^T x = |x|_p and
+        |g|_q <= 1; the norm's gradient at x != 0, or the signs for p = 1."""
+        return np.sign(x) * (np.abs(x) / np.maximum(self.norm(x), 1e-300)[..., None]) ** (self.p - 1)
 
     def pairwise(self, pts: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:
         """Distance matrix between rows of pts (and other, if given)."""
@@ -383,48 +390,52 @@ def _dual_radius(P: np.ndarray, w: np.ndarray) -> float:
     return math.sqrt(max(0.0, phi * (1 - 4 * (m + d) * eps) - d * (m * eps * np.abs(P).max()) ** 2))
 
 
-def _chebyshev_descent(pts: np.ndarray, norm: NormSpec, sweeps: int = 200) -> tuple[np.ndarray, float]:
-    """Coordinate-descent minimax center for non-euclidean norms (upper bound)."""
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    c = 0.5 * (lo + hi)
+def _pnorm_center(P: np.ndarray, norm: NormSpec) -> np.ndarray:
+    """A center of least largest l_p distance to the rows of P, p != 2, in
+    their bounding box (clipping to it moves no point farther).  l1: the LP
+    min t subject to s^T (p_i - c) <= t over the sign vectors s, cut on the
+    residual signs of every row farther than t until no new cut appears.
+    1 < p < inf: SLSQP on the epigraph, whose constraint gradients are the
+    residuals' dual vectors.  Both start at the coordinate midranges and run
+    on P over its largest entry, so their tolerances are relative."""
+    # imported here, as cdist is: scipy.optimize costs 0.6 s to import
+    from scipy.optimize import linprog, minimize
 
-    def radius(center):
-        return float(np.max(norm.norm(pts - center)))
-
-    best = radius(c)
-    for _ in range(sweeps):
-        improved = 0.0
-        for k in range(pts.shape[1]):
-            a, b = lo[k] - best, hi[k] + best
-            # ternary search on the convex 1-d slice
-            for _ in range(80):
-                m1 = a + (b - a) / 3
-                m2 = b - (b - a) / 3
-                c[k] = m1
-                f1 = radius(c)
-                c[k] = m2
-                f2 = radius(c)
-                if f1 <= f2:
-                    b = m2
-                else:
-                    a = m1
-            c[k] = 0.5 * (a + b)
-            val = radius(c)
-            if val < best - 1e-15:
-                improved += best - val
-                best = val
-        if improved < 1e-13:
-            break
-    return c, best
+    scale = float(np.abs(P).max()) or 1.0
+    F = P / scale
+    m, d = F.shape
+    lo, hi = F.min(axis=0), F.max(axis=0)
+    box, c = list(zip(lo, hi)) + [(None, None)], 0.5 * (lo + hi)
+    if norm.p == 1.0:
+        cuts, far = {}, np.arange(m)
+        while True:
+            new = {(i, s.tobytes()): (s, F[i] @ s) for i, s in zip(far, norm.dual(F[far] - c))}
+            if new.keys() <= cuts.keys():
+                return c * scale
+            cuts.update(new)
+            S, b = map(np.array, zip(*cuts.values()))
+            # s^T (f_i - c) <= t as -s^T c - t <= -s^T f_i
+            res = linprog(np.r_[np.zeros(d), 1.0], A_ub=np.hstack([-S, -np.ones((len(S), 1))]),
+                          b_ub=-b, bounds=box, method="highs")
+            if not res.success:
+                raise RuntimeError(f"l1 center LP failed: {res.message}")
+            c, t = res.x[:d], res.x[d]
+            far = np.flatnonzero(norm.norm(F - c) > t)
+    res = minimize(lambda x: x[d], np.r_[c, np.max(norm.norm(F - c))],
+                   jac=lambda x: np.r_[np.zeros(d), 1.0], method="SLSQP", bounds=box,
+                   constraints={"type": "ineq", "fun": lambda x: x[d] - norm.norm(F - x[:d]),
+                                "jac": lambda x: np.hstack([norm.dual(F - x[:d]), np.ones((m, 1))])},
+                   options={"ftol": 1e-15})
+    return res.x[:d] * scale
 
 
 def chebyshev_radius(K: CompactSetModel) -> Bracket:
     """Radius of the smallest enclosing ball, center ranging over the ambient space.
 
     Exact for euclidean clouds and for the max norm, where it is half the
-    largest coordinate range (the center sits at the coordinate midranges);
-    other norms get a descent upper bound paired with the half-diameter lower
-    bound.
+    largest coordinate range (the center sits at the coordinate midranges).
+    l_p clouds pair the half-diameter with the radius measured from the
+    center of a convex solve (``_pnorm_center``).
     """
     K = K.as_cloud()
     pts = K.points
@@ -439,8 +450,7 @@ def chebyshev_radius(K: CompactSetModel) -> Bracket:
         r = float(np.ptp(pts, axis=0).max()) / 2
         return Bracket(r, r, exact=True,
                        lower_method="half-diameter", upper_method="midrange-center")
-    _, upper = _chebyshev_descent(pts, K.norm)
+    upper = float(np.max(K.norm.norm(pts - _pnorm_center(pts, K.norm))))
     lower = 0.5 * float(np.max(K.norm.pairwise(pts)))
-    upper = max(upper, lower)
-    return Bracket(lower, upper, exact=False,
-                   lower_method="half-diameter", upper_method="coord-descent")
+    return Bracket(lower, max(upper, lower), exact=False,
+                   lower_method="half-diameter", upper_method="convex-center")

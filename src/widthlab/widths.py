@@ -63,15 +63,21 @@ class SubspaceFamily:
     assignment: np.ndarray
     achieved: float
 
+    def distances(self, K: CompactSetModel) -> np.ndarray:
+        """Each point's distance to its subspace in the model's norm, one
+        solve per subspace."""
+        cloud = K.as_cloud()
+        out = np.zeros(len(cloud.points))
+        for k, V in enumerate(self.bases):
+            if (rows := self.assignment == k).any():
+                out[rows] = _dists(cloud.points[rows], V, cloud.norm)
+        return out
+
     def validate(self, K: CompactSetModel, tol: float = 1e-10) -> bool:
         for V in self.bases:
             if V.shape[1] and np.max(np.abs(V.T @ V - np.eye(V.shape[1]))) > tol:
                 return False
-        cloud = K.as_cloud()
-        worst = 0.0
-        for i, p in enumerate(cloud.points):
-            worst = max(worst, dist_to_subspace(p, self.bases[self.assignment[i]], cloud.norm))
-        return abs(worst - self.achieved) <= tol * max(1.0, self.achieved)
+        return abs(float(self.distances(K).max()) - self.achieved) <= tol * max(1.0, self.achieved)
 
 
 @dataclass(frozen=True)
@@ -104,46 +110,49 @@ def _euclid_dists(P: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.linalg.norm(R, axis=-1)
 
 
-def _pnorm_dist(f: np.ndarray, V: np.ndarray, space: NormSpec, tol: float = 1e-10) -> float:
-    """Convex minimization of ||f - V c||_p over c by coordinate descent."""
+def _nearest_coords(P: np.ndarray, V: np.ndarray, space: NormSpec) -> np.ndarray:
+    """Coordinates C of a nearest point of span(V) to each row of P in a
+    non-euclidean norm, in one solve for all rows (they share no variable):
+    a HiGHS LP for the max norm and l1, L-BFGS on sum_i |f_i - V c_i|_p from
+    the least-squares coordinates for 1 < p < inf.  Each row enters over its
+    largest entry, so the tolerances are relative to each row."""
+    # imported here, as cdist is: scipy.optimize costs 0.6 s to import
+    from scipy.optimize import linprog, minimize
+    from scipy.sparse import eye_array, kron
+
+    (m, d), n = P.shape, V.shape[1]
+    scale = np.abs(P).max(axis=1, keepdims=True)
+    scale[scale == 0.0] = 1.0
+    F = P / scale
+    if space.kind == "max" or space.p == 1.0:
+        # per row, (c_i, t_i) with -E t_i <= f_i - V c_i <= E t_i: one bound (max) or d (l1)
+        E = np.ones((d, 1)) if space.kind == "max" else np.eye(d)
+        res = linprog(np.tile(np.r_[np.zeros(n), np.ones(E.shape[1])], m),
+                      A_ub=kron(eye_array(m), np.block([[-V, -E], [V, -E]]), format="csr"),
+                      b_ub=np.hstack([-F, F]).ravel(), bounds=(None, None), method="highs")
+        if not res.success:
+            raise RuntimeError(f"subspace distance LP failed: {res.message}")
+        return res.x.reshape(m, -1)[:, :n] * scale
+
+    def objective(x):
+        R = F - x.reshape(m, n) @ V.T
+        return float(space.norm(R).sum()), -(space.dual(R) @ V).ravel()
+
+    # no stopping tolerance: it runs until its line search stalls
+    res = minimize(objective, (F @ V).ravel(), jac=True, method="L-BFGS-B",
+                   options={"ftol": 0.0, "gtol": 0.0})
+    return res.x.reshape(m, n) * scale
+
+
+def _dists(P: np.ndarray, V: np.ndarray, space: NormSpec) -> np.ndarray:
+    """Distances of the rows of P to span(V); off the euclidean path each is
+    measured in the norm at ``_nearest_coords``, so it is attained whatever
+    the solver's tolerance."""
+    if space.is_euclidean:
+        return _euclid_dists(P, V)
     if V.shape[1] == 0:
-        return float(space.norm(f))
-    n = V.shape[1]
-    radius = 2.0 * math.sqrt(max(n, 1)) * float(np.linalg.norm(f)) + 1.0
-
-    def value(c):
-        return float(space.norm(f - V @ c))
-
-    best_c, best_v = None, math.inf
-    starts = [np.zeros(n), V.T @ f]
-    for c0 in starts:
-        c = c0.astype(float).copy()
-        v = value(c)
-        for _ in range(60):
-            improved = 0.0
-            for k in range(n):
-                a, b = c[k] - radius, c[k] + radius
-                for _ in range(70):
-                    m1 = a + (b - a) / 3
-                    m2 = b - (b - a) / 3
-                    c[k] = m1
-                    f1 = value(c)
-                    c[k] = m2
-                    f2 = value(c)
-                    if f1 <= f2:
-                        b = m2
-                    else:
-                        a = m1
-                c[k] = 0.5 * (a + b)
-                radius_k = value(c)
-                if radius_k < v - 1e-15:
-                    improved += v - radius_k
-                    v = radius_k
-            if improved < tol:
-                break
-        if v < best_v:
-            best_v, best_c = v, c
-    return best_v
+        return space.norm(P)
+    return space.norm(P - _nearest_coords(P, V, space) @ V.T)
 
 
 def dist_to_subspace(f: np.ndarray, basis: np.ndarray, space: NormSpec) -> float:
@@ -151,15 +160,7 @@ def dist_to_subspace(f: np.ndarray, basis: np.ndarray, space: NormSpec) -> float
     f = np.asarray(f, dtype=float)
     basis = np.asarray(basis, dtype=float)
     _check_frame(basis)
-    if space.is_euclidean:
-        return float(_euclid_dists(f[None, :], basis)[0])
-    return _pnorm_dist(f, basis, space)
-
-
-def _dists(P: np.ndarray, V: np.ndarray, space: NormSpec) -> np.ndarray:
-    if space.is_euclidean:
-        return _euclid_dists(P, V)
-    return np.array([_pnorm_dist(p, V, space) for p in P])
+    return float(_dists(f[None, :], basis, space)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +323,11 @@ def linear_width(
 ) -> WidthResult:
     """Bracket on the n-dimensional minimax subspace-fitting error.
 
-    Euclidean clouds get both sides (spectral lower, heuristic upper, exact
-    paths for n=0, n>=rank, and the planar line); other norms report an
-    upper bound only.  The line (n=1) of a rank-2 cloud is the best of the
-    directions u || x_i - x_j, x_i + x_j or x_i, which hold every minimum of
-    the largest distance (module docstring).
+    Euclidean clouds get a spectral lower side, a heuristic upper side, and
+    exact paths for n=0, n>=rank, and the planar line: for n=1 and rank 2,
+    the best of the directions u || x_i - x_j, x_i + x_j or x_i (module
+    docstring).  Other norms measure the euclidean fit's exact distances in
+    the norm, below which lies the spectral side times d^min(0, 1/p - 1/2).
     """
     cloud = K.as_cloud()
     P = cloud.points
@@ -344,15 +345,17 @@ def linear_width(
 
     S = np.linalg.svd(P, compute_uv=False)
     tail = S[n:] if n < len(S) else np.zeros(0)
-    spectral = math.sqrt(float(np.sum(tail**2)) / m) if euclid else 0.0
+    spectral = math.sqrt(float(np.sum(tail**2)) / m)
 
     [(V, val, exact)] = _fit_subspaces([P], n, [seed], restarts)
     if not euclid:
-        vals = _dists(P, V, cloud.norm)
-        val = float(vals.max())
+        val = float(_dists(P, V, cloud.norm).max())
         fam = SubspaceFamily((V,), np.zeros(m, dtype=int), val)
+        # |x|_p >= d^min(0, 1/p - 1/2) |x|_2, with 1/p = 0 for the max norm
+        inv_p = 0.0 if cloud.norm.kind == "max" else 1.0 / cloud.norm.p
+        lower = spectral * d ** min(0.0, inv_p - 0.5)
         return WidthResult(
-            Bracket(0.0, val, exact=False, lower_method="none-pnorm",
+            Bracket(min(lower, val), val, exact=False, lower_method="spectral-norm-equivalence",
                     upper_method="euclid-fit-evaluated"),
             fam, restarts,
         )

@@ -173,11 +173,9 @@ def test_zeroth_entropy_numbers_are_closed_forms(norm):
     assert inner.exact and inner.lower == inner.upper == r
     assert inner.lower_method == inner.upper_method == "one-center"
     outer = entropy_number(K, 0, inner=False)
-    if norm.kind == "pnorm":
-        assert outer.upper_method == "greedy" and not outer.exact
-    else:
-        assert outer == chebyshev_radius(K) and outer.exact
-        assert outer.upper <= inner.upper
+    assert outer == chebyshev_radius(K)
+    assert outer.exact == (norm.kind != "pnorm")
+    assert outer.upper <= inner.upper
 
 
 def test_entropy_monotone_in_n():

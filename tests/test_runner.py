@@ -201,3 +201,42 @@ def test_refuted_lipschitz_constant_is_reported(tmp_path, monkeypatch):
         assert float(row["upper"]) == math.inf
         assert row["exact"] == "false"
         assert verdicts[f"lip:lipschitz-{name}-bound"]["status"] == "violated"
+
+
+NON_EUCLIDEAN = "".join(f"""
+[lw-{tag}]
+kind = linear-width
+set = cloud
+cloud_points = 9
+cloud_dim = 3
+cloud_norm = {norm}
+n_values = 1,2
+seed = 3
+
+[lip-{tag}]
+kind = lipschitz
+set = cloud
+cloud_points = 6
+cloud_dim = 3
+cloud_norm = {norm}
+n = 1
+big_n = 2
+pairs = 500
+seed = 4
+""" for tag, norm in (("max", "max"), ("l1", "p:1")))
+
+
+def test_non_euclidean_sections_are_deterministic_across_jobs(tmp_path):
+    # the distance LPs run inside the runner's threads at --jobs 2
+    p = tmp_path / "lp.cfg"
+    p.write_text(NON_EUCLIDEAN)
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    assert run(p, out_dir=out1, jobs=1, quiet=True) == 0
+    assert run(p, out_dir=out2, jobs=2, quiet=True) == 0
+    for name in ("results.csv", "verdicts.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    with open(out1 / "results.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {r["experiment_id"] for r in rows} == {"lw-max", "lw-l1", "lip-max", "lip-l1"}
+    assert all(r["method"] == "spectral-norm-equivalence/euclid-fit-evaluated"
+               for r in rows if r["quantity"] == "linear_width")

@@ -23,18 +23,18 @@ from widthlab.spaces import (
 )
 
 
-def grid_meb_radius(pts, span=1.5, steps=41, refinements=12):
-    """Brute-force minimum enclosing ball radius by nested grid search."""
+def grid_meb_radius(pts, span=1.5, steps=41, refinements=12, norm=None):
+    """Brute-force minimum enclosing ball radius by nested grid search, in the
+    given norm (euclidean by default)."""
     pts = np.asarray(pts, dtype=float)
+    norm = norm or NormSpec("euclidean", pts.shape[1])
     center = pts.mean(axis=0)
     width = span
     best = None
     for _ in range(refinements):
         axes = [np.linspace(c - width, c + width, steps) for c in center]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(center))
-        radii = np.max(
-            np.linalg.norm(grid[:, None, :] - pts[None, :, :], axis=2), axis=1
-        )
+        radii = np.max(norm.norm(grid[:, None, :] - pts[None, :, :]), axis=1)
         k = int(np.argmin(radii))
         center = grid[k]
         best = radii[k]
@@ -210,6 +210,84 @@ def test_enclosing_ball_is_exact_against_circumball_oracle(pts):
     assert r == np.linalg.norm(K.points - c, axis=1).max()
 
 
+def coordinate_descent_radius(pts, norm, sweeps=200):
+    """The former coordinate-descent minimax center (an upper bound), kept as
+    the reference the convex solves must not exceed."""
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    c = 0.5 * (lo + hi)
+
+    def radius(center):
+        return float(np.max(norm.norm(pts - center)))
+
+    best = radius(c)
+    for _ in range(sweeps):
+        improved = 0.0
+        for k in range(pts.shape[1]):
+            a, b = lo[k] - best, hi[k] + best
+            for _ in range(80):
+                m1 = a + (b - a) / 3
+                m2 = b - (b - a) / 3
+                c[k] = m1
+                f1 = radius(c)
+                c[k] = m2
+                f2 = radius(c)
+                if f1 <= f2:
+                    b = m2
+                else:
+                    a = m1
+            c[k] = 0.5 * (a + b)
+            val = radius(c)
+            if val < best - 1e-15:
+                improved += best - val
+                best = val
+        if improved < 1e-13:
+            break
+    return best
+
+
+def l1_center_oracle(pts):
+    """Exact l1 Chebyshev radius: the LP min t subject to s^T (p_i - c) <= t
+    for every point and every sign vector s."""
+    from scipy.optimize import linprog
+
+    m, d = pts.shape
+    S = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
+    A = np.hstack([-np.tile(S, (m, 1)), -np.ones((m * len(S), 1))])
+    b = -(pts @ S.T).ravel()
+    res = linprog(np.r_[np.zeros(d), 1.0], A_ub=A, b_ub=b, bounds=(None, None), method="highs")
+    assert res.success
+    return float(res.fun)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda d: _tiny_cloud(d, _COORDS)),
+       st.sampled_from([1.0, 1.5, 3.0]))
+@example([[0.0, 0.0], [0.0, 0.0]], 1.0)
+@example([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], 1.5)
+def test_pnorm_chebyshev_radius_against_descent_and_l1_oracle(pts, p):
+    P = np.array(pts)
+    norm = NormSpec("pnorm", P.shape[1], p=p)
+    br = chebyshev_radius(CompactSetModel.cloud(P, norm))
+    if len(P) > 1:
+        assert br.lower_method == "half-diameter" and br.upper_method == "convex-center"
+    assert br.lower == 0.5 * float(np.max(norm.pairwise(P)))
+    assert br.upper <= coordinate_descent_radius(P, norm) * (1 + 1e-12) + 1e-12
+    if p == 1.0:
+        assert br.upper == pytest.approx(l1_center_oracle(P), rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_pnorm_chebyshev_radius_against_planar_grid(p):
+    rng = np.random.default_rng(41)
+    norm = NormSpec("pnorm", 2, p=p)
+    for m in (3, 8, 30):
+        P = rng.normal(size=(m, 2)) * rng.uniform(0.5, 2.0, size=2)
+        br = chebyshev_radius(CompactSetModel.cloud(P, norm))
+        grid = grid_meb_radius(P, span=3.0, steps=81, norm=norm)
+        # no grid center beats the solver's, and the grid comes close to it
+        assert br.lower <= grid and grid - 1e-6 <= br.upper <= grid
+
+
 def test_enclosing_ball_leaves_the_recursion_limit_alone(monkeypatch):
     def refuse(limit):
         raise AssertionError("the recursion limit changed")
@@ -250,10 +328,11 @@ def test_cloud_rejects_non_finite_coordinates():
 
 
 def test_import_loads_no_scipy_spatial():
-    code = "import sys, widthlab; print('scipy.spatial' in sys.modules)"
+    code = ("import sys, widthlab; "
+            "print('scipy.spatial' in sys.modules, 'scipy.optimize' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_scale_set():

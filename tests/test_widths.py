@@ -81,6 +81,125 @@ def test_dist_pnorm_never_beats_zero_start():
         assert dv <= space.norm(f) + 1e-12
 
 
+def coordinate_descent_dist(f, V, space, tol=1e-10):
+    """The former ternary coordinate descent on ||f - V c||_p (an upper bound),
+    kept as the reference the exact distances must not exceed."""
+    if V.shape[1] == 0:
+        return float(space.norm(f))
+    n = V.shape[1]
+    radius = 2.0 * math.sqrt(max(n, 1)) * float(np.linalg.norm(f)) + 1.0
+
+    def value(c):
+        return float(space.norm(f - V @ c))
+
+    best_v = math.inf
+    for c0 in (np.zeros(n), V.T @ f):
+        c = c0.astype(float).copy()
+        v = value(c)
+        for _ in range(60):
+            improved = 0.0
+            for k in range(n):
+                a, b = c[k] - radius, c[k] + radius
+                for _ in range(70):
+                    m1 = a + (b - a) / 3
+                    m2 = b - (b - a) / 3
+                    c[k] = m1
+                    f1 = value(c)
+                    c[k] = m2
+                    f2 = value(c)
+                    if f1 <= f2:
+                        b = m2
+                    else:
+                        a = m1
+                c[k] = 0.5 * (a + b)
+                radius_k = value(c)
+                if radius_k < v - 1e-15:
+                    improved += v - radius_k
+                    v = radius_k
+            if improved < tol:
+                break
+        best_v = min(best_v, v)
+    return best_v
+
+
+def lp_dist(f, V, kind):
+    """Exact max-norm or l1 distance from f to span(V), one LP per point."""
+    from scipy.optimize import linprog
+
+    d, n = V.shape
+    E = np.ones((d, 1)) if kind == "max" else np.eye(d)
+    # variables (c, t): minimise sum t subject to -E t <= f - V c <= E t
+    res = linprog(np.r_[np.zeros(n), np.ones(E.shape[1])],
+                  A_ub=np.block([[-V, -E], [V, -E]]), b_ub=np.r_[-f, f],
+                  bounds=[(None, None)] * n + [(0, None)] * E.shape[1], method="highs")
+    assert res.success
+    return float(res.fun)
+
+
+SUBSPACE_CASES = st.integers(2, 4).flatmap(lambda d: st.tuples(
+    st.lists(st.lists(st.one_of(st.integers(-3, 3).map(float), st.floats(-4, 4)),
+                      min_size=d, max_size=d), min_size=1, max_size=5),
+    st.integers(1, d - 1),
+    st.integers(0, 2**16)))
+DIST_NORMS = [("max", None), ("pnorm", 1.0), ("pnorm", 1.5), ("pnorm", 3.0)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(SUBSPACE_CASES, st.sampled_from(DIST_NORMS))
+@example(([[1.0, 2.0], [0.0, 0.0]], 1, 0), ("pnorm", 1.5))  # a point in the span
+# rows of very different sizes: the small row's |r|^p underflows unless each
+# row is solved over its own largest entry
+@example(([[0.0, 1.0], [0.0, 1.4374904821176235e-246]], 1, 0), ("pnorm", 1.5))
+def test_exact_distances_against_descent_lp_and_optimality(case, norm):
+    pts, n, seed = case
+    P = np.array(pts)
+    d = P.shape[1]
+    V, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(d, n)))
+    space = NormSpec(norm[0], d, p=norm[1])
+    dists = widths._dists(P, V, space)
+    assert [dist_to_subspace(f, V, space) for f in P] == pytest.approx(dists, rel=1e-9, abs=1e-12)
+    for f, dv in zip(P, dists):
+        assert dv <= coordinate_descent_dist(f, V, space) * (1 + 1e-12) + 1e-12
+    if space.kind == "max" or space.p == 1.0:
+        oracle = [lp_dist(f, V, "max" if space.kind == "max" else "l1") for f in P]
+        assert dists == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+    else:
+        # first-order optimality: V^T g = 0 for the residual's dual vector g
+        R = P - widths._nearest_coords(P, V, space) @ V.T
+        away = space.norm(R) > 1e-9 * max(1.0, float(np.abs(P).max()))
+        assert np.abs(space.dual(R[away]) @ V).max(initial=0.0) < 1e-5
+
+
+def dual_line_dist(P, theta, space):
+    """Exact distance of each row of P to the line at angle theta in the plane:
+    |w^T x| / |w|_q for the normal w, q the dual exponent of the norm."""
+    w = np.stack([-np.sin(theta), np.cos(theta)])
+    q = 1.0 if space.kind == "max" else (math.inf if space.p == 1.0 else space.p / (space.p - 1))
+    return np.abs(P @ w) / np.linalg.norm(w, ord=q, axis=0)
+
+
+@pytest.mark.parametrize("norm", DIST_NORMS)
+def test_pnorm_linear_width_lower_side_holds_on_an_angle_grid(norm):
+    space = NormSpec(norm[0], 2, p=norm[1])
+    rng = np.random.default_rng(17)
+    grid = 20_000
+    theta = np.arange(grid) * math.pi / grid
+    for m in (3, 7, 15):
+        P = rng.normal(size=(m, 2)) * rng.uniform(0.5, 2.0, size=2)
+        res = linear_width(CompactSetModel.cloud(P, space), 1)
+        assert res.bracket.lower_method == "spectral-norm-equivalence"
+        assert 0 < res.bracket.lower <= res.bracket.upper
+        u = np.array([math.cos(theta[123]), math.sin(theta[123])])[:, None]
+        assert dual_line_dist(P, theta[123], space) == pytest.approx(
+            widths._dists(P, u, space), rel=1e-9)
+        best = min(dual_line_dist(P, theta[s:s + 4096], space).max(axis=0).min()
+                   for s in range(0, grid, 4096))
+        # in the plane |x|_2 / sqrt2 <= |x|_p <= sqrt2 |x|_2, so each distance
+        # is 4 sqrt2 max|x|_2 -Lipschitz in the angle
+        slack = 4 * math.sqrt(2) * float(np.linalg.norm(P, axis=1).max()) * math.pi / (2 * grid)
+        assert res.bracket.lower <= best - slack <= res.bracket.upper
+
+
 def test_linear_width_examples():
     res = linear_width(E12, 1)
     assert res.bracket.exact
