@@ -429,13 +429,19 @@ def _pnorm_center(P: np.ndarray, norm: NormSpec) -> np.ndarray:
     return res.x[:d] * scale
 
 
+# rows of the l_p distance matrix taken at once for the half-diameter:
+# O(_DIAMETER_BLOCK * m) memory
+_DIAMETER_BLOCK = 256
+
+
 def chebyshev_radius(K: CompactSetModel) -> Bracket:
     """Radius of the smallest enclosing ball, center ranging over the ambient space.
 
     Exact for euclidean clouds and for the max norm, where it is half the
     largest coordinate range (the center sits at the coordinate midranges).
-    l_p clouds pair the half-diameter with the radius measured from the
-    center of a convex solve (``_pnorm_center``).
+    l_p clouds pair the half-diameter, a maximum over blocks of
+    _DIAMETER_BLOCK rows of the distance matrix, with the radius measured
+    from the center of a convex solve (``_pnorm_center``).
     """
     K = K.as_cloud()
     pts = K.points
@@ -451,6 +457,7 @@ def chebyshev_radius(K: CompactSetModel) -> Bracket:
         return Bracket(r, r, exact=True,
                        lower_method="half-diameter", upper_method="midrange-center")
     upper = float(np.max(K.norm.norm(pts - _pnorm_center(pts, K.norm))))
-    lower = 0.5 * float(np.max(K.norm.pairwise(pts)))
+    lower = 0.5 * max(float(np.max(K.norm.pairwise(pts[s:s + _DIAMETER_BLOCK], pts)))
+                      for s in range(0, len(pts), _DIAMETER_BLOCK))
     return Bracket(lower, max(upper, lower), exact=False,
                    lower_method="half-diameter", upper_method="convex-center")

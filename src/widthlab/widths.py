@@ -10,12 +10,14 @@ u || x_i - x_j, u || x_i + x_j or u || x_i.  Each distance |x_i x u| is
 concave in the angle between its zeros, so the minimum of their maximum lies
 where two of them cross or one vanishes, and those are the directions above.
 
-A family search fits many point subsets.  Each subset is scaled, snapped and
-reduced on its own, and the subsets left to the iterative refinement run it
-as one stacked solve per (size, rank) shape, bitwise as they would alone:
-all subsets at once for the partition search, the clusters of every running
-start at each step of the alternation, and the trial subsets of every running
-descent's full scan at each step of the move descents.
+A family search fits many point subsets, bitwise as each would be fitted
+alone: the subsets of one size are scaled, snapped and reduced by one stacked
+SVD, and those left to the iterative refinement run it as one stacked solve
+per (size, rank) shape.  A batch is all subsets at once for the partition
+search, the clusters of every running start at each step of the alternation,
+and the trial subsets of every running descent's full scan at each step of
+the move descents.  Each batch also measures every new subspace over the
+whole cloud in one stacked pass, which gives the spreads the descents read.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ _ALTERNATION_STEPS = 40
 _DESCENT_STEPS = 200
 _DESCENT_STARTS = 4
 # a batch of cluster fits runs in chunks of at most this many floats of
-# (restarts + 1) * size * dimension, so its memory stays flat in the batch size
+# (restarts + 1) * size * dimension per subset, or of the whole cloud's
+# size * dimension if larger, so its memory stays flat in the batch size
 _BATCH_FLOATS = 2**17
 
 
@@ -264,55 +267,62 @@ def _fit_subspaces(
     points divided by the largest norm and snapped to a 2^-35 grid.  Exactly
     rescaled inputs therefore produce bitwise-identical witnesses, and the
     returned value is re-evaluated on the original points so the upper bound
-    stays sound.  The clouds that need the iterative refinement run it as one
-    stacked _minimax_fit per (size, rank) shape.
+    stays sound.  The clouds of one size are scaled, snapped and reduced by
+    one stacked SVD; rank and the exact paths are read per cloud.  The
+    clouds left to the iterative refinement get their start frames from one
+    stacked QR and run one stacked _minimax_fit per (size, rank) shape, and
+    their values come from one stacked distance pass.  Stacked or not, every
+    cloud's fit is bitwise the one it gets alone.
     """
     fits: list = [None] * len(clouds)
-    shapes: dict[tuple[int, int], list] = {}
-    for i, (P, seed) in enumerate(zip(clouds, seeds)):
-        fits[i], job = _fit_direct(P, n, seed, restarts)
-        if job is not None:
-            B, Q, starts = job
-            shapes.setdefault(Q.shape, []).append((i, B, Q, starts))
-    for group in shapes.values():
-        ids, Bs, Qs, starts = zip(*group)
-        frames = _minimax_fit(np.stack(Qs), n, np.stack(starts), sweeps)
-        for i, B, V in zip(ids, Bs, frames):
-            V = B @ V
-            fits[i] = (V, float(_euclid_dists(clouds[i], V).max()), False)
+    sizes: dict[int, list[int]] = {}
+    for i, P in enumerate(clouds):
+        sizes.setdefault(len(P), []).append(i)
+    for ids in sizes.values():
+        P = np.stack([clouds[i] for i in ids])
+        _, m, d = P.shape
+        scales = np.linalg.norm(P, axis=-1).max(axis=-1)
+        for i in np.asarray(ids)[scales <= 0.0]:
+            fits[i] = _exact_fit(clouds[i], _orthonormal_extend(np.zeros((d, 0)), n), 0.0, 0.0)
+        live = np.flatnonzero(scales > 0.0)
+        if not len(live):
+            continue
+        C = np.round((P[live] / scales[live, None, None]) * _SNAP) / _SNAP
+        _, S, Vt = np.linalg.svd(C, full_matrices=False)
+        ranks = np.sum(S > np.maximum(1e-13, S[:, 0] * 1e-12)[:, None], axis=1).tolist()
+        refine: dict[int, list[int]] = {}
+        for g, rank in enumerate(ranks):
+            i, scale = ids[live[g]], float(scales[live[g]])
+            if n >= rank:
+                fits[i] = _exact_fit(clouds[i], _orthonormal_extend(Vt[g, :rank].T, n), scale, 0.0)
+            elif n == 1 and rank == 2:
+                # the optimal subspace can be taken inside the row space
+                B = Vt[g, :2].T
+                u, snap_val = _exact_line_2d(C[g] @ B)
+                fits[i] = _exact_fit(clouds[i], B @ u, scale, snap_val)
+            else:
+                refine.setdefault(rank, []).append(g)
+        for rank, gs in refine.items():
+            # work inside the row spaces B = Vt[:rank].T, on the coordinates C B
+            Q = C[gs] @ Vt[gs, :rank].swapaxes(-1, -2)
+            gauss = [np.random.default_rng([_subset_seed(seeds[ids[live[g]]], (m, rank, n)), r])
+                     .normal(size=(rank, n)) for g in gs for r in range(restarts)]
+            Vr, _ = np.linalg.qr(np.reshape(gauss, (len(gs) * restarts, rank, n)))
+            starts = np.concatenate([np.broadcast_to(np.eye(rank)[:, :n], (len(gs), 1, rank, n)),
+                                     Vr.reshape(len(gs), restarts, rank, n)], axis=1)
+            frames = _minimax_fit(Q, n, starts, sweeps)
+            Vs = [Vt[g, :rank].T @ V for g, V in zip(gs, frames)]
+            vals = _euclid_dists(P[live[gs]], np.stack(Vs)).max(axis=-1).tolist()
+            for g, V, val in zip(gs, Vs, vals):
+                fits[ids[live[g]]] = (V, val, False)
     return fits
 
 
-def _fit_direct(P: np.ndarray, n: int, seed: int, restarts: int):
-    """The per-cloud part of a fit: scale, snap, SVD and rank.  Returns
-    ((basis, value, exact), None) from the exact paths, or (None, (B, Q,
-    starts)) for the minimax refinement of the coordinates Q = C B inside
-    the row space B from the stacked starts (R, rank, n)."""
-    m, d = P.shape
-    scale = float(np.max(np.linalg.norm(P, axis=1)))
-
-    def done(V, snap_val):
-        val = float(_euclid_dists(P, V).max())
-        return (V, val, abs(val - scale * snap_val) <= 1e-10 * max(1.0, val)), None
-
-    if scale <= 0.0:
-        return done(_orthonormal_extend(np.zeros((d, 0)), n), 0.0)
-    C = np.round((P / scale) * _SNAP) / _SNAP
-
-    _, S, Vt = np.linalg.svd(C, full_matrices=False)
-    rank = int(np.sum(S > max(1e-13, (S[0] if len(S) else 0.0) * 1e-12)))
-    if n >= rank:
-        return done(_orthonormal_extend(Vt[:rank].T, n), 0.0)
-    # work inside the row space: the optimal subspace can be taken there
-    B = Vt[:rank].T  # d x rank
-    Q = C @ B  # m x rank coordinates
-    if n == 1 and rank == 2:
-        u, snap_val = _exact_line_2d(Q)
-        return done(B @ u, snap_val)
-    stream = _subset_seed(seed, (m, rank, n))
-    gauss = [np.random.default_rng([stream, r]).normal(size=(rank, n)) for r in range(restarts)]
-    Vr, _ = np.linalg.qr(np.reshape(gauss, (restarts, rank, n)))
-    return None, (B, Q, np.concatenate([np.eye(rank)[None, :, :n], Vr]))
+def _exact_fit(P: np.ndarray, V: np.ndarray, scale: float, snap_val: float):
+    """An exact path's fit: V's value on the original points, exact when it
+    is the snapped cloud's value scale * snap_val."""
+    val = float(_euclid_dists(P, V).max())
+    return V, val, abs(val - scale * snap_val) <= 1e-10 * max(1.0, val)
 
 
 def linear_width(
@@ -387,26 +397,22 @@ class _ClusterCache:
 
     def fit_many(self, idxs) -> list[tuple[np.ndarray, float, bool]]:
         """Fits of the point subsets idxs; the uncached ones run as one batch,
-        in chunks of _BATCH_FLOATS."""
+        in chunks of _BATCH_FLOATS.  Each chunk also fills in ``spreads``:
+        the largest distance of a subset's points to its subspace, read from
+        one stacked pass over the whole cloud for every basis of the chunk."""
         new = [idx for idx in dict.fromkeys(idxs) if idx not in self.store]
-        floats = (_CLUSTER_RESTARTS + 1) * self.P.shape[1] * max(map(len, new), default=1)
+        m, d = self.P.shape
+        floats = max((_CLUSTER_RESTARTS + 1) * max(map(len, new), default=1), m) * d
         step = max(1, _BATCH_FLOATS // floats)
         for k in range(0, len(new), step):
             part = new[k:k + step]
-            self.store.update(zip(part, _fit_subspaces(
-                [self.P[list(idx)] for idx in part], self.n,
-                [_subset_seed(self.seed, idx) for idx in part],
-                _CLUSTER_RESTARTS, _CLUSTER_SWEEPS)))
+            fits = _fit_subspaces([self.P[list(idx)] for idx in part], self.n,
+                                  [_subset_seed(self.seed, idx) for idx in part],
+                                  _CLUSTER_RESTARTS, _CLUSTER_SWEEPS)
+            self.store.update(zip(part, fits))
+            dists = _euclid_dists(self.P, np.stack([V for V, _, _ in fits]))
+            self.spreads.update((idx, float(row[list(idx)].max())) for idx, row in zip(part, dists))
         return [self.store[idx] for idx in idxs]
-
-    def spread(self, idx) -> float:
-        """Largest distance of the fitted points idx to their subspace, read
-        from their distances in the whole cloud as _family_value reads them;
-        0 for an empty cluster."""
-        if idx not in self.spreads:
-            dists = _euclid_dists(self.P, self.store[idx][0])
-            self.spreads[idx] = float(dists[list(idx)].max())
-        return self.spreads[idx]
 
 
 def _clusters(assign: np.ndarray, N: int) -> list[tuple[int, ...]]:
@@ -419,7 +425,7 @@ def _family_value(cache: _ClusterCache, assign: np.ndarray, N: int):
     point-to-basis dists, per-point dists, all fits exact)."""
     fits = cache.fit_many(_clusters(assign, N))
     bases = [V for V, _, _ in fits]
-    dists = np.stack([_euclid_dists(cache.P, V) for V in bases], axis=1)
+    dists = _euclid_dists(cache.P, np.stack(bases)).T
     per_point = dists[np.arange(len(assign)), assign]
     return bases, dists, per_point, all(ex for _, _, ex in fits)
 
@@ -457,12 +463,12 @@ def _move_descents(cache: _ClusterCache, starts: list[np.ndarray], N: int):
         for j in running:
             assign = assigns[j]
             members = _clusters(assign, N)
-            spreads = [cache.spread(idx) for idx in members]
+            spreads = [cache.spreads[idx] for idx in members]
             vals[j] = max(spreads)
             for i, c, drop, add in scans[j]:
                 a = assign[i]
                 rest = [s for k, s in enumerate(spreads) if k != a and k != c]
-                v = max(rest + [cache.spread(drop), cache.spread(add)])
+                v = max(rest + [cache.spreads[drop], cache.spreads[add]])
                 if v < vals[j] - 1e-15:
                     assign[i] = c
                     vals[j] = v
@@ -590,19 +596,14 @@ def nonlinear_width(
 
     cache = _ClusterCache(P, n, seed)
 
-    if m <= N:
-        assign = np.arange(m, dtype=int)
-        bases, dists, per_point, _ = _family_value(cache, assign, N)
-        fam = SubspaceFamily(_legal_frames(bases, n), assign, float(per_point.max()))
-        return WidthResult(
-            Bracket(0.0, fam.achieved, exact=fam.achieved <= 1e-12,
-                    lower_method="spectral-nN", upper_method="per-point-span"),
-            fam, 0,
-        )
-
     best = None
     restarts_used = 0
-    if m <= ENUM_POINT_LIMIT and N <= ENUM_FAMILY_LIMIT and not force_heuristic:
+    if m <= N:
+        # each point spans a subspace of its own
+        assign = np.arange(m, dtype=int)
+        best = (0.0, [V for V, _, _ in cache.fit_many(_clusters(assign, N))], assign)
+        method = "per-point-span"
+    elif m <= ENUM_POINT_LIMIT and N <= ENUM_FAMILY_LIMIT and not force_heuristic:
         best_assign = _enumerate_partitions(cache, m, N)
         bases, dists, per_point, exact_all = _family_value(cache, best_assign, N)
         best = (float(per_point.max()), bases, best_assign)
@@ -638,7 +639,8 @@ def nonlinear_width(
     dists = np.stack([_euclid_dists(P, V) for V in bases], axis=1)
     val = float(dists[np.arange(m), assign].max())
     fam = SubspaceFamily(bases, assign, val)
-    br = Bracket(min(lower, val), val, exact=False,
+    # with m <= N the spectral side is 0, and a per-point span is exact when it fits
+    br = Bracket(min(lower, val), val, exact=m <= N and val <= 1e-12,
                  lower_method="spectral-nN", upper_method=method)
     return WidthResult(br, fam, restarts_used)
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -240,3 +241,159 @@ def test_fixed_width_homogeneity():
         assert estimate_lipschitz(spec.scaled(t), pairs=5000, seed=3) == pytest.approx(
             abs(t) * est, rel=1e-9
         )
+
+
+# ---------------------------------------------------------------------------
+# lockstep fixed-width descents against the per-point reference
+
+
+def _reference_descent(spec, f, z0, line_searches):
+    """Golden-section coordinate descent of one point, one one-row
+    evaluation at a time: the sequence every lockstep row must follow."""
+    z = z0.copy()
+
+    def val(zz):
+        return float(np.asarray(spec.ambient.norm(f - spec.evaluate(zz)[0])))
+
+    best = val(z)
+    used = 0
+    n = spec.n
+    while used < line_searches:
+        improved = 0.0
+        for k in range(spec.domain_dim):
+            if used >= line_searches:
+                break
+            used += 1
+            if k < n:
+                others = float(np.sum(z[:n] ** 2) - z[k] ** 2)
+                r = math.sqrt(max(0.0, 1.0 - others))
+                a, b = -r, r
+            else:
+                a, b = -1.0, 1.0
+            phi = (math.sqrt(5) - 1) / 2
+            c1, c2 = b - phi * (b - a), a + phi * (b - a)
+            zk = z[k]
+            z[k] = c1
+            f1 = val(z)
+            z[k] = c2
+            f2 = val(z)
+            for _ in range(40):
+                if f1 <= f2:
+                    b, c2, f2 = c2, c1, f1
+                    c1 = b - phi * (b - a)
+                    z[k] = c1
+                    f1 = val(z)
+                else:
+                    a, c1, f1 = c1, c2, f2
+                    c2 = a + phi * (b - a)
+                    z[k] = c2
+                    f2 = val(z)
+            z[k] = c1 if f1 <= f2 else c2
+            cand = min(f1, f2)
+            if cand < best - 1e-15:
+                improved += best - cand
+                best = cand
+            else:
+                z[k] = zk
+        if improved < 1e-12:
+            break
+    return best
+
+
+def _reference_fixed_width(K, spec, line_searches):
+    """fixed_width_upper one point at a time: best anchor, then its descent."""
+    worst = 0.0
+    for f in K.as_cloud().points:
+        best_val, best_z = math.inf, None
+        for j in range(len(spec.charts)):
+            z = spec.anchor(f, j)
+            v = float(np.asarray(spec.ambient.norm(f - spec.evaluate(z)[0])))
+            if v < best_val:
+                best_val, best_z = v, z
+        worst = max(worst, min(_reference_descent(spec, f, best_z, line_searches), best_val))
+    return worst
+
+
+def _fitted_specs(n):
+    """phi and psi (euclidean), theta and xi (max, l1.5 and l3) over a fitted
+    two-subspace family of a fixed 8-point cloud in R^4.  The l_p maps keep
+    the isometry charts: their John charts take about 23 s each to build for
+    n = 2 (8192 facets), and the real l1.5 charts have a test of their own."""
+    from widthlab.widths import nonlinear_width
+
+    P = np.random.default_rng([83, n]).normal(size=(8, 4))
+    K = CompactSetModel.cloud(P / np.linalg.norm(P, axis=1).max())
+    bases = nonlinear_width(K, n, 2, seed=n).witness.bases
+    specs = [build_phi(bases), build_psi(bases), *build_theta_xi(bases, NormSpec("max", 4))]
+    for p in (1.5, 3.0):
+        specs += [replace(s, ambient=NormSpec("pnorm", 4, p=p))
+                  for s in build_theta_xi(bases, NormSpec("euclidean", 4))]
+    return K, specs
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("line_searches", [60, 200])
+def test_lockstep_descents_match_per_point_descents(n, line_searches):
+    K, specs = _fitted_specs(n)
+    for spec in specs:
+        got = fixed_width_upper(K, spec, line_searches=line_searches)
+        assert got == _reference_fixed_width(K, spec, line_searches), (spec.kind, spec.ambient)
+
+
+# the charts of build_theta_xi(bases, NormSpec("pnorm", 4, p=1.5))[1] for the
+# family nonlinear_width(K, 2, 3, seed=2, restarts=4) fits to the cloud of
+# test_lockstep_descents_take_each_pnorm_root_as_a_scalar, written out
+# because their three John solves take about 70 s
+_XI_L15_CHARTS = [
+    [["-0x1.0316b2f5a287ep-2", "0x1.cee54fc024994p-2"],
+     ["-0x1.950deb03796a3p-1", "-0x1.19d55584b9b81p-1"],
+     ["-0x1.dfde15ffc9193p-2", "0x1.4b5806551ea60p-2"],
+     ["0x1.647f505b9f287p-4", "-0x1.b69a3069daacep-2"]],
+    [["-0x1.0a5e5433a63d8p-1", "-0x1.70d8429bd84e8p-3"],
+     ["-0x1.3249a4235d5d9p-1", "-0x1.8e4ba1f4c96cbp-2"],
+     ["-0x1.e3a697224979ap-3", "0x1.81322cd4eda50p-2"],
+     ["-0x1.5a72a8669ca03p-2", "0x1.6c3c17d01562ep-1"]],
+    [["0x1.fb534ab638706p-4", "-0x1.c2c86b84b143cp-3"],
+     ["-0x1.f6db253a5b249p-3", "-0x1.24fb0c5c90dd9p-2"],
+     ["0x1.ca652a047e84ap-4", "0x1.a25ec18aaad95p-1"],
+     ["0x1.e039bfd729deap-1", "-0x1.690bd34bf211ep-3"]],
+]
+
+
+def test_lockstep_descents_take_each_pnorm_root_as_a_scalar():
+    # an array ** (1/p) rounds 321 of this case's 8,577 row evaluations
+    # differently from the scalar root (numpy 2.4.6)
+    rng = np.random.default_rng([2, 6])
+    m, d, N = int(rng.integers(8, 16)), int(rng.integers(3, 5)), int(rng.integers(2, 4))
+    assert (m, d, N) == (9, 4, 3)
+    P = rng.normal(size=(m, d))
+    K = CompactSetModel.cloud(P / np.linalg.norm(P, axis=1).max())
+    charts = [np.array([[float.fromhex(x) for x in row] for row in C]) for C in _XI_L15_CHARTS]
+    xi = LipschitzMapSpec(kind="xi", n=2, charts=(*charts, np.zeros((4, 2))), hats=None,
+                          bumps=CubeBumpSystem(2), ambient=NormSpec("pnorm", 4, p=1.5),
+                          gamma=6.734772289856238, outer_coef=2.0, chart_factor=1.122462048309373)
+    got = fixed_width_upper(K, xi)
+    assert got == _reference_fixed_width(K, xi, 200)
+    assert f"{got:.15f}" == "0.091896748684701"
+
+
+def test_lockstep_descents_batch_every_point(monkeypatch):
+    from widthlab import lipschitz
+
+    calls = []
+    inner = lipschitz._residual_norms
+
+    def counted(spec, F, Z):
+        calls.append(len(Z))
+        return inner(spec, F, Z)
+
+    monkeypatch.setattr(lipschitz, "_residual_norms", counted)
+    rng = np.random.default_rng(89)
+    Q, _ = np.linalg.qr(rng.normal(size=(3, 2)))
+    spec = build_phi([Q[:, [0]], Q[:, [1]]])
+    for m in (3, 40):
+        calls.clear()
+        fixed_width_upper(CompactSetModel.cloud(rng.normal(size=(m, 3)) * 0.4), spec,
+                          line_searches=12)
+        assert 0 < len(calls) <= 1 + 42 * 12
+        assert calls[0] == m

@@ -2,6 +2,7 @@ import itertools
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -361,3 +362,18 @@ def test_bracket_invariants():
     assert b.contains(1.5)
     assert not b.contains(2.5)
     assert b.contains(2.5, slack=0.6)
+
+
+def test_pnorm_half_diameter_memory_stays_linear_in_blocks():
+    # the whole 2000 x 2000 distance matrix alone is 30.5 MiB
+    P = np.random.default_rng(2).normal(size=(2000, 3))
+    K = CompactSetModel.cloud(P, NormSpec("pnorm", 3, p=1.0))
+    chebyshev_radius(CompactSetModel.cloud(P[:5], K.norm))  # imports the solver untraced
+    tracemalloc.start()
+    try:
+        br = chebyshev_radius(K)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert br.lower == 0.5 * float(np.max(K.norm.pairwise(P)))

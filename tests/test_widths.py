@@ -17,6 +17,7 @@ from widthlab.widths import (
     _DESCENT_STEPS,
     _SNAP,
     _ClusterCache,
+    _euclid_dists,
     _exact_line_2d,
     _family_value,
     _fit_subspaces,
@@ -488,6 +489,43 @@ def test_fit_many_matches_per_subset_fits(n, monkeypatch):
         paths.add("exact" if n >= rank else "line" if (n, rank) == (1, 2) else f"refine-{rank}")
     assert {"exact", "refine-3", "refine-5"} <= paths
     assert ("line" in paths) == (n == 1)
+
+
+def _subsets_of_sizes(rng, m, sizes, each):
+    return [tuple(sorted(rng.choice(m, size=s, replace=False).tolist()))
+            for s in sizes for _ in range(each)]
+
+
+def test_fit_many_reduces_each_subset_size_with_one_svd(monkeypatch):
+    rng = np.random.default_rng(61)
+    P = rng.normal(size=(14, 4))
+    idxs = _subsets_of_sizes(rng, 14, (1, 2, 3, 5, 8), 6)
+    sizes = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        sizes.append(a.shape[-2])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for n in (1, 2):
+        sizes.clear()
+        _ClusterCache(P, n, seed=3).fit_many(idxs)
+        assert sorted(sizes) == [1, 2, 3, 5, 8]  # one stacked SVD per size, not one per subset
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cached_spreads_read_the_whole_cloud_distances(n):
+    rng = np.random.default_rng([73, n])
+    P = np.vstack([rng.normal(size=(6, 2)) @ rng.normal(size=(2, 4)), rng.normal(size=(8, 4))])
+    P[5] = 0.0  # a zero subset takes the zero-scale path
+    idxs = _subsets_of_sizes(rng, 14, (1, 2, 3, 4, 6, 9), 4) + [(5,), tuple(range(6))]
+    cache = _ClusterCache(P, n, seed=5)
+    cache.fit_many(idxs)
+    for idx in idxs:
+        V = cache.store[idx][0]
+        assert cache.spreads[idx] == float(_euclid_dists(P, V)[list(idx)].max()), idx
+    assert cache.spreads[(5,)] == 0.0
 
 
 def test_fit_many_runs_large_batches_in_chunks(monkeypatch):
