@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spaces import CompactSetModel, NormSpec, _away_step_simplex
+from .spaces import CompactSetModel, NormSpec, _away_step_simplex, _symmetric_facets
 
 __all__ = [
     "HatSystem",
@@ -145,13 +145,9 @@ class JohnMap:
         (1 ms), 5,246 from 19 (24 ms) and 30,328 from 40 (0.4 s); in d = 4,
         152 facets from 40 vertices.  john_ellipsoid caps d at 8, not the
         vertex count, so far larger vertex lists cost accordingly."""
-        V = self.ball_data
-        if V.shape[1] == 1:
-            return np.array([[1.0], [-1.0]]) / np.max(np.abs(V))
-        from scipy.spatial import ConvexHull
-
-        eq = ConvexHull(np.vstack([V, -V])).equations  # a_j . x + c_j <= 0
-        return eq[:, :-1] / -eq[:, -1:]
+        if (G := _symmetric_facets(self.ball_data)) is None:
+            raise ValueError("conv(+-V) has no complete facet list: the vertices are (nearly) flat")
+        return G
 
 
 def _maxdet_weights(Q: np.ndarray, tol: float):
@@ -527,7 +523,8 @@ def _residual_norms(spec: LipschitzMapSpec, F: np.ndarray, Z: np.ndarray) -> np.
     """|f_i - spec(z_i)| in the ambient norm for the rows of F and Z, each
     bitwise as one-row ``evaluate`` and a 1-d ``norm`` give it: the chart
     products are a stack of single-row products, the euclidean norm a stack
-    of dot products, and each l_p root is taken as a scalar."""
+    of dot products, and the max and l_p norms are ``norm``'s, whose rows
+    round as its 1-d path does."""
     x = Z[:, : spec.n]
     j, w = spec._chart_weights(Z)
     out = np.zeros(F.shape)
@@ -535,13 +532,9 @@ def _residual_norms(spec: LipschitzMapSpec, F: np.ndarray, Z: np.ndarray) -> np.
         mask = j == jj
         out[mask] = w[mask, None] * (x[mask][:, None, :] @ spec.charts[jj].T)[:, 0]
     R = F - out * (spec.outer_coef * spec.scale)
-    amb = spec.ambient
-    if amb.kind == "euclidean":
+    if spec.ambient.kind == "euclidean":
         return np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
-    if amb.kind == "max":
-        return np.max(np.abs(R), axis=1)
-    inv = 1.0 / amb.p
-    return np.array([s ** inv for s in np.sum(np.abs(R) ** amb.p, axis=1)])
+    return spec.ambient.norm(R)
 
 
 def _golden_descents(spec: LipschitzMapSpec, F: np.ndarray, Z: np.ndarray,

@@ -69,9 +69,13 @@ class NormSpec:
             return np.linalg.norm(x, axis=-1) if x.ndim > 1 else float(np.linalg.norm(x))
         if self.kind == "max":
             v = np.max(np.abs(x), axis=-1)
-        else:
-            v = np.sum(np.abs(x) ** self.p, axis=-1) ** (1.0 / self.p)
-        return v if x.ndim > 1 else float(v)
+            return v if x.ndim > 1 else float(v)
+        # each row over its largest entry, so the power sum neither underflows
+        # nor overflows; a 1-d x runs as one row, so its root rounds as a row's
+        a = np.abs(np.atleast_2d(x))
+        top = a.max(axis=-1)
+        v = top * np.sum((a / np.where(top > 0.0, top, 1.0)[..., None]) ** self.p, axis=-1) ** (1.0 / self.p)
+        return v if x.ndim > 1 else float(v[0])
 
     def dual(self, x: np.ndarray) -> np.ndarray:
         """Dual vectors g of the rows of x under an l_p norm: g^T x = |x|_p and
@@ -97,6 +101,25 @@ def euclidean(dim: int) -> NormSpec:
 def norm_of(x: np.ndarray, space: NormSpec) -> float:
     """Norm of x in the given space; raises on dimension mismatch."""
     return float(space.norm(np.asarray(x, dtype=float)))
+
+
+def _symmetric_facets(P: np.ndarray) -> np.ndarray | None:
+    """Gauge rows a_j / b_j of the facets a_j . x <= b_j of conv(+-P), P of
+    full rank, from one unjoggled Qhull call (+-1/max|P| in 1-d).  None when
+    Qhull fails or the list, which lower sides rest on, may be incomplete: a
+    ridge lacks a second facet, or a +-p_i breaks a row by more than 1e-9."""
+    if P.shape[1] == 1:
+        return np.array([[1.0], [-1.0]]) / np.max(np.abs(P))
+    from scipy.spatial import ConvexHull, QhullError  # here: importing widthlab loads no scipy
+
+    X = np.vstack([P, -P])
+    try:
+        hull = ConvexHull(X)
+    except QhullError:
+        return None
+    G = hull.equations[:, :-1] / -hull.equations[:, -1:]  # a_j . x + c_j <= 0, b_j = -c_j
+    complete = not (hull.neighbors < 0).any() and (X @ G.T).max() <= 1.0 + 1e-9
+    return G if complete else None
 
 
 # ---------------------------------------------------------------------------

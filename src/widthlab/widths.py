@@ -4,11 +4,10 @@ Upper bounds come from seeded heuristics (spectral initialization plus a
 softmax-reweighted minimax refinement; alternating fit/assign for subspace
 families), lower bounds from the mean-square spectral argument
 d_n >= sqrt(sum_{j>n} s_j^2 / m).  Exact paths: rank reduction, a search
-over the set partitions of tiny clouds, and the minimax line through 0 in
-the plane.  That line is searched over a finite set, the directions u with
-u || x_i - x_j, u || x_i + x_j or u || x_i.  Each distance |x_i x u| is
-concave in the angle between its zeros, so the minimum of their maximum lies
-where two of them cross or one vanishes, and those are the directions above.
+over the set partitions of tiny clouds, and codimension 1: in any norm,
+min_w max_i |w . x_i| / |w|_q (q the dual exponent) is the inradius of
+conv(+-X), the least b_j / |a_j|_q over its facets a_j . x <= b_j
+(``spaces._symmetric_facets``), attained by the hyperplane along that facet.
 
 A family search fits many point subsets, bitwise as each would be fitted
 alone: the subsets of one size are scaled, snapped and reduced by one stacked
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import Bracket, CompactSetModel, NormSpec, sigma_value, sup_norm
+from .spaces import Bracket, CompactSetModel, NormSpec, _symmetric_facets, sigma_value, sup_norm
 
 __all__ = [
     "SubspaceFamily",
@@ -42,8 +41,8 @@ __all__ = [
 NONLINEAR_GUARD = 10_000
 ENUM_POINT_LIMIT = 9
 ENUM_FAMILY_LIMIT = 3
-# directions scored at once by the planar line search: O(_LINE_BLOCK * m) memory
-_LINE_BLOCK = 1024
+# codimension-1 fits take hull facets up to this rank (60 points: 13 ms)
+_FACET_RANK_LIMIT = 6
 # starts and sweeps of every cluster fit in the family searches
 _CLUSTER_RESTARTS = 2
 _CLUSTER_SWEEPS = 20
@@ -223,26 +222,6 @@ def _minimax_fit(Q: np.ndarray, n: int, starts: np.ndarray, sweeps: int) -> list
             for g, k in enumerate(ks)]
 
 
-def _exact_line_2d(P: np.ndarray) -> tuple[np.ndarray, float]:
-    """Exact minimax line through 0 for points in R^2: the at most m^2
-    directions where two distances |x_i x u| cross or one vanishes (module
-    docstring), scored in blocks of _LINE_BLOCK; the first strict minimum wins.
-    """
-    i, j = np.triu_indices(len(P), 1)
-    W = np.concatenate([P, P[i] - P[j], P[i] + P[j]])
-    norms = np.hypot(W[:, 0], W[:, 1])
-    U = W[norms > 0] / norms[norms > 0, None]
-    # an all-zero cloud leaves no direction: any line fits it exactly
-    best_u, best_val = np.array([1.0, 0.0]), math.inf if len(U) else 0.0
-    for s in range(0, len(U), _LINE_BLOCK):
-        B = U[s:s + _LINE_BLOCK]
-        vals = np.abs(P[:, :1] * B[:, 1] - P[:, 1:] * B[:, 0]).max(axis=0)
-        k = int(np.argmin(vals))
-        if vals[k] < best_val:
-            best_u, best_val = B[k], float(vals[k])
-    return best_u[:, None], best_val
-
-
 # ---------------------------------------------------------------------------
 # subspace fits (shared by linear width and family clustering)
 
@@ -268,7 +247,8 @@ def _fit_subspaces(
     rescaled inputs therefore produce bitwise-identical witnesses, and the
     returned value is re-evaluated on the original points so the upper bound
     stays sound.  The clouds of one size are scaled, snapped and reduced by
-    one stacked SVD; rank and the exact paths are read per cloud.  The
+    one stacked SVD; rank and the exact paths are read per cloud.  A cloud
+    with n = rank - 1 whose facet list fails its checks is refined.  The
     clouds left to the iterative refinement get their start frames from one
     stacked QR and run one stacked _minimax_fit per (size, rank) shape, and
     their values come from one stacked distance pass.  Stacked or not, every
@@ -292,14 +272,16 @@ def _fit_subspaces(
         ranks = np.sum(S > np.maximum(1e-13, S[:, 0] * 1e-12)[:, None], axis=1).tolist()
         refine: dict[int, list[int]] = {}
         for g, rank in enumerate(ranks):
-            i, scale = ids[live[g]], float(scales[live[g]])
+            i, scale, B = ids[live[g]], float(scales[live[g]]), Vt[g, :rank].T
+            # the optimal subspace can be taken inside the row space
+            G = _symmetric_facets(C[g] @ B) if n == rank - 1 and rank <= _FACET_RANK_LIMIT else None
             if n >= rank:
-                fits[i] = _exact_fit(clouds[i], _orthonormal_extend(Vt[g, :rank].T, n), scale, 0.0)
-            elif n == 1 and rank == 2:
-                # the optimal subspace can be taken inside the row space
-                B = Vt[g, :2].T
-                u, snap_val = _exact_line_2d(C[g] @ B)
-                fits[i] = _exact_fit(clouds[i], B @ u, scale, snap_val)
+                fits[i] = _exact_fit(clouds[i], _orthonormal_extend(B, n), scale, 0.0)
+            elif G is not None:
+                norms = np.linalg.norm(G, axis=1)
+                j = int(np.argmax(norms))
+                U = _orthonormal_extend(G[j, :, None] / norms[j], rank)[:, 1:]
+                fits[i] = _exact_fit(clouds[i], B @ U, scale, 1.0 / float(norms[j]))
             else:
                 refine.setdefault(rank, []).append(g)
         for rank, gs in refine.items():
@@ -334,10 +316,13 @@ def linear_width(
     """Bracket on the n-dimensional minimax subspace-fitting error.
 
     Euclidean clouds get a spectral lower side, a heuristic upper side, and
-    exact paths for n=0, n>=rank, and the planar line: for n=1 and rank 2,
-    the best of the directions u || x_i - x_j, x_i + x_j or x_i (module
-    docstring).  Other norms measure the euclidean fit's exact distances in
-    the norm, below which lies the spectral side times d^min(0, 1/p - 1/2).
+    exact paths for n=0, n>=rank, and n = rank - 1 up to rank
+    _FACET_RANK_LIMIT, where the facets of conv(+-X) give the inradius and
+    the hyperplane (module docstring).  Other norms measure the euclidean
+    fit's exact distances in the norm, below which lies the spectral side
+    times d^min(0, 1/p - 1/2); with n = d - 1 up to the same limit and a
+    full-rank cloud, they take the facet hyperplane in the dual norm instead,
+    measured in the norm, over the inradius less a rounding margin.
     """
     cloud = K.as_cloud()
     P = cloud.points
@@ -357,18 +342,35 @@ def linear_width(
     tail = S[n:] if n < len(S) else np.zeros(0)
     spectral = math.sqrt(float(np.sum(tail**2)) / m)
 
-    [(V, val, exact)] = _fit_subspaces([P], n, [seed], restarts)
     if not euclid:
+        # 1/p, with 1/p = 0 for the max norm
+        inv_p = 0.0 if cloud.norm.kind == "max" else 1.0 / cloud.norm.p
+        G = _symmetric_facets(P) if n == d - 1 and d <= _FACET_RANK_LIMIT else None
+        if G is not None:
+            # dual exponent q: 1 for the max norm, inf for l1
+            norms = np.linalg.norm(G, ord=1.0 / (1.0 - inv_p) if inv_p < 1.0 else math.inf, axis=1)
+            j = int(np.argmax(norms))
+            V = _orthonormal_extend(G[j, :, None] / np.linalg.norm(G[j]), d)[:, 1:]
+            val = float(_dists(P, V, cloud.norm).max())
+            lower = 1.0 / float(norms[j])
+            lower -= 1e-10 * max(1.0, lower)
+            if lower <= val:
+                return WidthResult(
+                    Bracket(lower, val, exact=val - lower <= 1e-9 * max(1.0, val),
+                            lower_method="facet-inradius", upper_method="facet-hyperplane"),
+                    SubspaceFamily((V,), np.zeros(m, dtype=int), val), 0)
+        [(V, _, _)] = _fit_subspaces([P], n, [seed], restarts)
         val = float(_dists(P, V, cloud.norm).max())
         fam = SubspaceFamily((V,), np.zeros(m, dtype=int), val)
-        # |x|_p >= d^min(0, 1/p - 1/2) |x|_2, with 1/p = 0 for the max norm
-        inv_p = 0.0 if cloud.norm.kind == "max" else 1.0 / cloud.norm.p
+        # |x|_p >= d^min(0, 1/p - 1/2) |x|_2
         lower = spectral * d ** min(0.0, inv_p - 0.5)
         return WidthResult(
             Bracket(min(lower, val), val, exact=False, lower_method="spectral-norm-equivalence",
                     upper_method="euclid-fit-evaluated"),
             fam, restarts,
         )
+
+    [(V, val, exact)] = _fit_subspaces([P], n, [seed], restarts)
 
     fam = SubspaceFamily((V,), np.zeros(m, dtype=int), val)
     if exact:
@@ -422,12 +424,10 @@ def _clusters(assign: np.ndarray, N: int) -> list[tuple[int, ...]]:
 
 def _family_value(cache: _ClusterCache, assign: np.ndarray, N: int):
     """Fit every cluster of an assignment in one batch; returns (bases,
-    point-to-basis dists, per-point dists, all fits exact)."""
-    fits = cache.fit_many(_clusters(assign, N))
-    bases = [V for V, _, _ in fits]
+    point-to-basis dists, per-point dists)."""
+    bases = [V for V, _, _ in cache.fit_many(_clusters(assign, N))]
     dists = _euclid_dists(cache.P, np.stack(bases)).T
-    per_point = dists[np.arange(len(assign)), assign]
-    return bases, dists, per_point, all(ex for _, _, ex in fits)
+    return bases, dists, dists[np.arange(len(assign)), assign]
 
 
 def _legal_frames(bases: list[np.ndarray], n: int) -> tuple[np.ndarray, ...]:
@@ -501,7 +501,7 @@ def _alternate(cache: _ClusterCache, starts: list[np.ndarray], N: int):
         still = []
         for j in running:
             assign = assigns[j]
-            bases, dists, per_point, _ = _family_value(cache, assign, N)
+            bases, dists, per_point = _family_value(cache, assign, N)
             val = float(per_point.max())
             if best[j] is None or val < best[j][0]:
                 best[j] = (val, bases, assign.copy())
@@ -525,11 +525,12 @@ def _alternate(cache: _ClusterCache, starts: list[np.ndarray], N: int):
     return best
 
 
-def _enumerate_partitions(cache: _ClusterCache, m: int, N: int) -> np.ndarray:
-    """Exact search over the partitions of the m points into at most N
-    clusters: every nonempty subset is fitted in one batch, and a partition
-    scores the largest value of its blocks.  Returns the least-value
-    assignment, ties going to the smallest labelled code sum_i a_i N^i.
+def _enumerate_partitions(cache: _ClusterCache, m: int, N: int) -> tuple[np.ndarray, bool]:
+    """Search over the partitions of the m points into at most N clusters:
+    every nonempty subset is fitted in one batch, and a partition scores the
+    largest value of its blocks.  Returns the least-value assignment, ties
+    going to the smallest labelled code sum_i a_i N^i, and whether every
+    subset's fit was exact, which makes the least value the exact width.
 
     Each partition is scored once, in its labelling of least code: labels
     numbered by first appearance from the last point down.  These are built
@@ -544,10 +545,11 @@ def _enumerate_partitions(cache: _ClusterCache, m: int, N: int) -> np.ndarray:
     masks = [(labels == c) @ (1 << np.arange(m)) for c in range(N)]
 
     subsets = [tuple(i for i in range(m) if mask >> i & 1) for mask in range(1, 2**m)]
+    fits = cache.fit_many(subsets)
     table = np.zeros(2**m)  # the empty block scores 0
-    table[1:] = [fit[1] for fit in cache.fit_many(subsets)]
+    table[1:] = [fit[1] for fit in fits]
     values = np.max([table[mask] for mask in masks], axis=0)
-    return labels[int(np.argmin(values))].copy()
+    return labels[int(np.argmin(values))].copy(), all(fit[2] for fit in fits)
 
 
 def nonlinear_width(
@@ -568,8 +570,10 @@ def nonlinear_width(
     Tiny instances (m <= 9 points, N <= 3) instead fit all 2^m - 1 subsets
     in one batch and score every partition into at most N clusters by its
     largest cluster value; the least value wins, ties going to the smallest
-    labelled code sum_i a_i N^i.  Lower bound: the spectral bound at
-    dimension n*N, since one nN-dimensional space contains any N-family.
+    labelled code sum_i a_i N^i; when every subset's fit is exact (as for
+    n = d - 1 up to rank _FACET_RANK_LIMIT), so is the bracket.  Otherwise
+    the lower bound is the spectral bound at dimension n*N, since one
+    nN-dimensional space contains any N-family.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -604,8 +608,8 @@ def nonlinear_width(
         best = (0.0, [V for V, _, _ in cache.fit_many(_clusters(assign, N))], assign)
         method = "per-point-span"
     elif m <= ENUM_POINT_LIMIT and N <= ENUM_FAMILY_LIMIT and not force_heuristic:
-        best_assign = _enumerate_partitions(cache, m, N)
-        bases, dists, per_point, exact_all = _family_value(cache, best_assign, N)
+        best_assign, exact_all = _enumerate_partitions(cache, m, N)
+        bases, _, per_point = _family_value(cache, best_assign, N)
         best = (float(per_point.max()), bases, best_assign)
         method = "assignment-enumeration" + ("-exact" if exact_all else "")
     else:
@@ -630,7 +634,7 @@ def nonlinear_width(
             leaders = [np.array(a) for a in list(ranked)[:_DESCENT_STARTS]]
             for v, a in _move_descents(cache, leaders, N):
                 if v < best[0]:
-                    bases, _, pp, _ = _family_value(cache, a, N)
+                    bases, _, pp = _family_value(cache, a, N)
                     best = (float(pp.max()), bases, a)
             method += "+move-descent"
 
@@ -639,9 +643,13 @@ def nonlinear_width(
     dists = np.stack([_euclid_dists(P, V) for V in bases], axis=1)
     val = float(dists[np.arange(m), assign].max())
     fam = SubspaceFamily(bases, assign, val)
-    # with m <= N the spectral side is 0, and a per-point span is exact when it fits
-    br = Bracket(min(lower, val), val, exact=m <= N and val <= 1e-12,
-                 lower_method="spectral-nN", upper_method=method)
+    if method.endswith("-exact"):
+        lower = max(lower, val - 1e-10 * max(1.0, val))
+        br = Bracket(min(lower, val), val, exact=True, lower_method=method, upper_method=method)
+    else:
+        # with m <= N the spectral side is 0, and a per-point span is exact when it fits
+        br = Bracket(min(lower, val), val, exact=m <= N and val <= 1e-12,
+                     lower_method="spectral-nN", upper_method=method)
     return WidthResult(br, fam, restarts_used)
 
 

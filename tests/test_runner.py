@@ -238,5 +238,7 @@ def test_non_euclidean_sections_are_deterministic_across_jobs(tmp_path):
     with open(out1 / "results.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert {r["experiment_id"] for r in rows} == {"lw-max", "lw-l1", "lip-max", "lip-l1"}
-    assert all(r["method"] == "spectral-norm-equivalence/euclid-fit-evaluated"
-               for r in rows if r["quantity"] == "linear_width")
+    # n = d - 1 takes the facets of conv(+-X) in the dual norm
+    assert {(r["n"], r["method"]) for r in rows if r["quantity"] == "linear_width"} == {
+        ("1", "spectral-norm-equivalence/euclid-fit-evaluated"),
+        ("2", "facet-inradius/facet-hyperplane")}

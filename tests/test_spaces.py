@@ -61,6 +61,33 @@ def test_pnorm_rejects_infinite_exponent():
     assert NormSpec("pnorm", 2, p=1.0).norm([3.0, -4.0]) == pytest.approx(7.0, abs=1e-12)
 
 
+def test_pnorm_rows_are_scaled_before_the_power_sum():
+    assert NormSpec("pnorm", 2, p=1.5).norm([0.0, 1e-246]) == 1e-246
+    assert NormSpec("pnorm", 2, p=3.0).norm([1e-120, 0.0]) == 1e-120
+    with np.errstate(over="raise"):
+        assert NormSpec("pnorm", 2, p=3.0).norm([1e120, 0.0]) == 1e120
+    rows = np.random.default_rng(29).normal(size=(2000, 4))
+    for p in (1.0, 1.5, 3.0):
+        space = NormSpec("pnorm", 4, p=p)
+        block = space.norm(rows)
+        # a row measured alone rounds as it does in a block
+        assert [space.norm(x) for x in rows] == block.tolist()
+        assert block == pytest.approx(np.sum(np.abs(rows) ** p, axis=1) ** (1 / p), rel=1e-14)
+
+
+def test_symmetric_facets_give_the_gauge_of_conv_pm_p():
+    x = np.random.default_rng(31).normal(size=(200, 3))
+    # conv(+-e_i) is the l1 ball, and the 1-d case an interval
+    G = spaces._symmetric_facets(np.eye(3))
+    assert np.max(x @ G.T, axis=1) == pytest.approx(np.abs(x).sum(axis=1), rel=1e-14)
+    assert np.array_equal(spaces._symmetric_facets(np.array([[2.0], [-4.0]])), [[0.25], [-0.25]])
+    P = np.random.default_rng(37).normal(size=(9, 3))
+    G = spaces._symmetric_facets(P)
+    assert np.max(np.vstack([P, -P]) @ G.T) == pytest.approx(1.0, rel=1e-14)
+    # flat input has no complete facet list
+    assert spaces._symmetric_facets(P * [1.0, 1.0, 0.0]) is None
+
+
 def test_norm_properties_sampled():
     rng = np.random.default_rng(7)
     for space in (NormSpec("euclidean", 4), NormSpec("pnorm", 4, p=3.0), NormSpec("max", 4)):

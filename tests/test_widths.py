@@ -8,17 +8,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from widthlab import widths
-from widthlab.spaces import CompactSetModel, NormSpec, scale_set, sigma_value
+from widthlab.spaces import CompactSetModel, NormSpec, _symmetric_facets, scale_set, sigma_value
 from widthlab.widths import (
     _ALTERNATION_STEPS,
     _CLUSTER_RESTARTS,
     _CLUSTER_SWEEPS,
     _DESCENT_STARTS,
     _DESCENT_STEPS,
+    _FACET_RANK_LIMIT,
     _SNAP,
     _ClusterCache,
     _euclid_dists,
-    _exact_line_2d,
     _family_value,
     _fit_subspaces,
     _legal_frames,
@@ -188,7 +188,7 @@ def test_pnorm_linear_width_lower_side_holds_on_an_angle_grid(norm):
     for m in (3, 7, 15):
         P = rng.normal(size=(m, 2)) * rng.uniform(0.5, 2.0, size=2)
         res = linear_width(CompactSetModel.cloud(P, space), 1)
-        assert res.bracket.lower_method == "spectral-norm-equivalence"
+        assert res.bracket.lower_method == "facet-inradius"
         assert 0 < res.bracket.lower <= res.bracket.upper
         u = np.array([math.cos(theta[123]), math.sin(theta[123])])[:, None]
         assert dual_line_dist(P, theta[123], space) == pytest.approx(
@@ -196,9 +196,11 @@ def test_pnorm_linear_width_lower_side_holds_on_an_angle_grid(norm):
         best = min(dual_line_dist(P, theta[s:s + 4096], space).max(axis=0).min()
                    for s in range(0, grid, 4096))
         # in the plane |x|_2 / sqrt2 <= |x|_p <= sqrt2 |x|_2, so each distance
-        # is 4 sqrt2 max|x|_2 -Lipschitz in the angle
+        # is 4 sqrt2 max|x|_2 -Lipschitz in the angle: the optimum lies in
+        # [best - slack, best]
         slack = 4 * math.sqrt(2) * float(np.linalg.norm(P, axis=1).max()) * math.pi / (2 * grid)
-        assert res.bracket.lower <= best - slack <= res.bracket.upper
+        assert res.bracket.lower <= best * (1 + 1e-12)
+        assert best - slack <= res.bracket.upper
 
 
 def test_linear_width_examples():
@@ -234,7 +236,7 @@ PLANE = st.lists(st.tuples(st.floats(-4, 4), st.floats(-4, 4)), min_size=1, max_
 @example([(0.0, 0.0), (3.0, 1.0)], "plain")
 @example([(0.0, 0.0), (0.0, 0.0)], "plain")
 @example([(1.0, 0.0), (1.0, 6.960435157200051e-06)], "plain")
-def test_exact_line_2d_against_angle_grid(pts, twist):
+def test_planar_facet_line_against_angle_grid(pts, twist):
     P = np.array(pts, dtype=float)
     if twist == "duplicate":
         P = np.vstack([P, P[:1]])
@@ -242,11 +244,14 @@ def test_exact_line_2d_against_angle_grid(pts, twist):
         P = np.vstack([P, -P[:1]])
     elif twist == "origin":
         P = np.vstack([P, np.zeros((1, 2))])
-    u, val = _exact_line_2d(P)
+    [(u, val, _)] = _fit_subspaces([P], 1, [0], 0)
     assert u.shape == (2, 1)
     assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
-    tol = 1e-12 * max(1.0, val)
-    assert val == pytest.approx(float(np.linalg.norm(P - (P @ u) @ u.T, axis=1).max()), abs=tol)
+    # the fit runs on the cloud over its largest norm, snapped to a 2^-35
+    # grid: each point moves by at most 2^-35.5 of that norm
+    scale = float(np.linalg.norm(P, axis=1).max())
+    tol = 1e-12 * max(1.0, val) + 2.0**-34 * scale
+    assert val == float(np.linalg.norm(P - (P @ u) @ u.T, axis=1).max())
     # no line of the grid beats the optimum, and the coarse grid lies within
     # half a step of it: each distance is |x|-Lipschitz in the angle
     assert val <= angle_grid_width(P) + tol
@@ -266,6 +271,117 @@ def test_planar_line_memory_stays_linear_in_blocks():
         tracemalloc.stop()
     assert res.bracket.exact
     assert peak < 64 * 2**20
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(3, 4), st.integers(0, 2**16),
+       st.sampled_from(["plain", "duplicate", "antipodal", "origin", "stretched"]))
+def test_facet_fit_against_refine_and_sampled_directions(d, seed, twist):
+    rng = np.random.default_rng([97, d, seed])
+    P = rng.normal(size=(int(rng.integers(d, 3 * d + 4)), d))
+    if twist == "duplicate":
+        P = np.vstack([P, P[:2]])
+    elif twist == "antipodal":
+        P = np.vstack([P, -P[:2]])
+    elif twist == "origin":
+        P = np.vstack([P, np.zeros((1, d))])
+    elif twist == "stretched":
+        P = P * rng.uniform(0.01, 10.0, size=d)
+    G = _symmetric_facets(P)
+    norms = np.linalg.norm(G, axis=1)
+    w = G[int(np.argmax(norms))]
+    v = 1.0 / float(norms.max())
+    # the facet value is its own hyperplane's value
+    assert abs(float(np.abs(P @ w).max()) / float(np.linalg.norm(w)) - v) <= 1e-12 * max(1.0, v)
+    # the fit takes it on the cloud over its largest norm, snapped to a
+    # 2^-35 grid; it is flagged exact when that moves the value by at most
+    # 1e-10 max(1, value), which a stretched cloud's scale can exceed
+    [(V, val, exact)] = _fit_subspaces([P], d - 1, [seed], 0)
+    scale = float(np.linalg.norm(P, axis=1).max())
+    assert abs(val - v) <= 2.0**-34 * scale
+    assert exact or twist == "stretched"
+    br = linear_width(CompactSetModel.cloud(P), d - 1, seed=seed).bracket
+    assert br.exact == exact and br.upper == val
+    assert br.lower <= v * (1 + 1e-12)
+    # no refined start and no sampled normal beats it
+    refined = min(_refine_one_start(P, d - 1, V0, 50)[1]
+                  for V0 in [np.eye(d)[:, :d - 1]]
+                  + [np.linalg.qr(rng.normal(size=(d, d - 1)))[0] for _ in range(4)])
+    assert v <= refined + 1e-12 * max(1.0, v)
+    U = rng.normal(size=(4000, d))
+    sampled = float((np.abs(P @ U.T).max(axis=0) / np.linalg.norm(U, axis=1)).min())
+    assert v <= sampled + 1e-12 * max(1.0, v)
+
+
+def test_near_flat_subset_falls_back_to_refine(monkeypatch):
+    # a plane of R^3 tilted by about 1e-11: the SVD gives it rank 3, but the
+    # facets Qhull finds for conv(+-X) leave some +-x_i outside, by 2.6e-4
+    # of the gauge
+    rng = np.random.default_rng(23)
+    R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    flat = (rng.normal(size=(6, 3)) * [1.0, 1.0, 1e-11]) @ R
+    C = np.round(flat / np.linalg.norm(flat, axis=1).max() * _SNAP) / _SNAP
+    _, S, Vt = np.linalg.svd(C)
+    assert S[2] > 1e-12 * S[0]
+    assert _symmetric_facets(C @ Vt.T) is None
+    P = np.vstack([flat, rng.normal(size=(6, 3))])
+    calls = _count_minimax_calls(monkeypatch)
+    (V, val, exact), (_, _, exact_other) = _ClusterCache(P, 2, 0).fit_many(
+        [tuple(range(6)), tuple(range(6, 12))])
+    assert calls == [1]  # the flat subset alone is refined
+    assert not exact and exact_other
+    assert val == float(_euclid_dists(flat, V).max())
+    res = linear_width(CompactSetModel.cloud(flat), 2)
+    assert res.bracket.upper_method == "minimax-refine" and not res.bracket.exact
+
+
+@pytest.mark.parametrize("norm", DIST_NORMS)
+def test_pnorm_codimension_one_width_is_the_facet_inradius(norm):
+    space = NormSpec(norm[0], 3, p=norm[1])
+    q = 1.0 if space.kind == "max" else (math.inf if space.p == 1.0 else space.p / (space.p - 1))
+    rng = np.random.default_rng([19, DIST_NORMS.index(norm)])
+    U = rng.normal(size=(20_000, 3))
+    for _ in range(3):
+        P = rng.normal(size=(20, 3)) * rng.uniform(0.5, 2.0, size=3)
+        K = CompactSetModel.cloud(P, space)
+        res = linear_width(K, 2)
+        br = res.bracket
+        assert br.exact
+        assert (br.lower_method, br.upper_method) == ("facet-inradius", "facet-hyperplane")
+        assert res.witness.validate(K)
+        # x's distance to w^perp is |w . x| / |w|_q: no sampled normal beats the side
+        assert br.lower <= float((np.abs(P @ U.T).max(axis=0) / np.linalg.norm(U, ord=q, axis=1)).min())
+        # nor does the euclidean fit, measured in the norm
+        V = _fit_subspaces([P], 2, [0], 32)[0][0]
+        assert br.upper <= float(widths._dists(P, V, space).max()) * (1 + 1e-9)
+    flat = P * [1.0, 1.0, 0.0]
+    br = linear_width(CompactSetModel.cloud(flat, space), 2).bracket
+    assert br.lower_method == "spectral-norm-equivalence"
+
+
+def test_enumerated_codimension_one_families_are_exact():
+    for t, (m, N) in enumerate([(6, 2), (7, 2), (7, 3)]):
+        P = np.random.default_rng([89, t]).normal(size=(m, 2))
+        br = nonlinear_width(CompactSetModel.cloud(P), 1, N, seed=t).bracket
+        assert br.exact and br.lower_method == "assignment-enumeration-exact"
+        # brute force: every labelled assignment, each block's line from the
+        # nested angle grid (an upper bound) and from the coarse grid, which
+        # lies within slack of the optimum
+        fine, coarse = {(): 0.0}, {(): 0.0}
+        for k in range(1, m + 1):
+            for idx in itertools.combinations(range(m), k):
+                fine[idx] = angle_grid_width(P[list(idx)])
+                coarse[idx] = angle_grid_width(P[list(idx)], zooms=0)
+        slack = float(np.linalg.norm(P, axis=1).max()) * math.pi / (2 * 20_000)
+        blocks = [[tuple(i for i in range(m) if a[i] == c) for c in range(N)]
+                  for a in itertools.product(range(N), repeat=m)]
+        assert br.upper <= min(max(fine[b] for b in bs) for bs in blocks) + 1e-9
+        assert br.lower >= min(max(coarse[b] for b in bs) for bs in blocks) - slack - 1e-9
+    # in R^3 with n = 2 every subset takes the facets too
+    P = np.random.default_rng(91).normal(size=(8, 3))
+    exact = nonlinear_width(CompactSetModel.cloud(P), 2, 2, seed=0).bracket
+    heuristic = nonlinear_width(CompactSetModel.cloud(P), 2, 2, seed=0, force_heuristic=True).bracket
+    assert exact.exact and exact.upper <= heuristic.upper + 1e-12
 
 
 def test_linear_width_witness_consistent():
@@ -319,7 +435,9 @@ def test_nonlinear_sandwich_with_linear():
     nl = nonlinear_width(K, n, N, seed=5)
     lw_n = linear_width(K, n, seed=5)
     lw_nN = linear_width(K, min(n * N, 4), seed=5)
-    assert nl.bracket.lower >= lw_nN.bracket.lower - 1e-12
+    # d_n(K, N) >= d_{nN}(K): one nN-dimensional space contains any N-family
+    assert lw_nN.bracket.exact
+    assert nl.bracket.upper >= lw_nN.bracket.lower - 1e-12
     assert nl.bracket.upper <= lw_n.bracket.upper + 1e-8
 
 
@@ -392,20 +510,29 @@ def _refine_one_start(P, n, V0, sweeps):
     return best_V, best_val
 
 
-def _reference_fit(P, n, seed, restarts, sweeps):
-    """_fit_subspaces one cloud at a time: the exact paths, and the
-    minimax-refine path with sequential restarts."""
-    m = P.shape[0]
-    scale = float(np.max(np.linalg.norm(P, axis=1)))
-    C = np.round((P / scale) * _SNAP) / _SNAP
+def _snapped_rank(P):
+    """The cloud over its largest norm on the 2^-35 grid, the rank the fits
+    read from it, and its right singular vectors."""
+    C = np.round((P / float(np.max(np.linalg.norm(P, axis=1)))) * _SNAP) / _SNAP
     _, S, Vt = np.linalg.svd(C, full_matrices=False)
-    rank = int(np.sum(S > max(1e-13, S[0] * 1e-12)))
+    return C, int(np.sum(S > max(1e-13, S[0] * 1e-12))), Vt
+
+
+def _reference_fit(P, n, seed, restarts, sweeps):
+    """_fit_subspaces one cloud at a time: the exact paths (n >= rank, and
+    the facet hyperplane for n = rank - 1), and the minimax-refine path with
+    sequential restarts."""
+    m = P.shape[0]
+    C, rank, Vt = _snapped_rank(P)
     B = Vt[:rank].T
     Q = C @ B
+    G = _symmetric_facets(Q) if n == rank - 1 and rank <= _FACET_RANK_LIMIT else None
     if n >= rank:
         V = _orthonormal_extend(B, n)
-    elif n == 1 and rank == 2:
-        V = B @ _exact_line_2d(Q)[0]
+    elif G is not None:
+        norms = np.linalg.norm(G, axis=1)
+        j = int(np.argmax(norms))
+        V = B @ _orthonormal_extend(G[j, :, None] / norms[j], rank)[:, 1:]
     else:
         best_V, best_val = _refine_one_start(Q, n, np.eye(rank)[:, :n], sweeps)
         for r in range(restarts):
@@ -485,10 +612,11 @@ def test_fit_many_matches_per_subset_fits(n, monkeypatch):
         assert np.array_equal(V, V_ref), idx
         assert val == val_ref, idx
         assert cache.fit_many([idx])[0][0] is V  # cached, not refitted
-        rank = np.linalg.matrix_rank(Ps)
-        paths.add("exact" if n >= rank else "line" if (n, rank) == (1, 2) else f"refine-{rank}")
-    assert {"exact", "refine-3", "refine-5"} <= paths
-    assert ("line" in paths) == (n == 1)
+        rank = _snapped_rank(Ps)[1]
+        paths.add("exact" if n >= rank else "facet" if n == rank - 1 else f"refine-{rank}")
+        assert exact == (n >= rank - 1), idx
+    assert {"exact", "facet", "refine-5"} <= paths
+    assert ("refine-3" in paths) == (n == 1)
 
 
 def _subsets_of_sizes(rng, m, sizes, each):
@@ -584,7 +712,7 @@ def test_partition_enumeration_matches_labelled_loop(twist):
         assert res.bracket.upper_method.startswith("assignment-enumeration")
         cache = _ClusterCache(P, n, t)
         ref, best_parts = _labelled_enumeration(cache, m, N)
-        bases, dists, per_point, _ = _family_value(cache, ref, N)
+        bases, dists, per_point = _family_value(cache, ref, N)
         assert np.array_equal(res.witness.assignment, ref)
         assert all(np.array_equal(V, W) for V, W in zip(res.witness.bases, _legal_frames(bases, n)))
         assert res.witness.achieved == float(per_point.max())
@@ -599,7 +727,7 @@ def _alternate_sequential(cache, starts, N, max_iter=_ALTERNATION_STEPS):
         assign = np.asarray(a0, dtype=int).copy()
         best = None
         for _ in range(max_iter):
-            bases, dists, per_point, _ = _family_value(cache, assign, N)
+            bases, dists, per_point = _family_value(cache, assign, N)
             val = float(per_point.max())
             if best is None or val < best[0]:
                 best = (val, bases, assign.copy())
@@ -652,7 +780,7 @@ def _single_move_descent(cache, assign0, N, max_steps=_DESCENT_STEPS):
     """One descent at a time, fitting each trial move's clusters as it is
     walked: the first strict improvement in (point, cluster) order wins."""
     assign = assign0.copy()
-    _, _, per_point, _ = _family_value(cache, assign, N)
+    _, _, per_point = _family_value(cache, assign, N)
     val = float(per_point.max())
     m = len(assign)
     for _ in range(max_steps):
@@ -663,7 +791,7 @@ def _single_move_descent(cache, assign0, N, max_steps=_DESCENT_STEPS):
                     continue
                 trial = assign.copy()
                 trial[i] = c
-                _, _, pp, _ = _family_value(cache, trial, N)
+                _, _, pp = _family_value(cache, trial, N)
                 v = float(pp.max())
                 if v < val - 1e-15:
                     assign, val = trial, v
