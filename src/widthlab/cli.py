@@ -9,6 +9,15 @@ import sys
 from .runner import run
 
 
+def _positive_int(text: str) -> int:
+    try:
+        if (value := int(text)) >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="widthlab",
@@ -20,8 +29,9 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--out", default="out", help="output directory (default: out)")
     runp.add_argument("--seed", type=int, default=None,
                       help="override every experiment seed")
-    runp.add_argument("--jobs", type=int, default=1,
-                      help="experiments run in parallel threads (results are identical)")
+    runp.add_argument("--jobs", type=_positive_int, default=1,
+                      help="config sections run in this many worker processes "
+                           "(serially where fork does not exist; results are identical)")
     runp.add_argument("--quiet", action="store_true", help="suppress progress lines")
     return parser
 

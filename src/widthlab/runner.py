@@ -6,7 +6,9 @@ Outputs per run: ``results.csv`` (one bracket per row, fixed column order),
 plot-data file per fitted series.  Given the same config and seed the output
 files are byte-identical regardless of the jobs setting: each experiment is
 one task whose random streams derive from its own section seed, and rows are
-sorted on a deterministic key before writing.
+sorted on a deterministic key before writing.  With jobs > 1 the sections run
+in fork-started worker processes (serially where fork does not exist), and
+the parent prints every progress line and error.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import math
 import sys
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,11 +63,13 @@ class ConfigError(ValueError):
 
 
 class _ExperimentFailed(Exception):
-    """A runtime error inside one experiment; the cause holds the original."""
+    """A runtime error inside one experiment, with its traceback formatted
+    where it was raised, so a worker process's failure reads as a serial one."""
 
-    def __init__(self, exp_id: str):
-        super().__init__(exp_id)
+    def __init__(self, exp_id: str, text: str):
+        super().__init__(exp_id, text)
         self.exp_id = exp_id
+        self.text = text
 
 
 @dataclass
@@ -500,6 +503,41 @@ def emit_report(rows: list[ReportRow], verdicts: list[dict], out_dir: Path,
                 fh.write(f"{_fmt(x)} {_fmt(y)}\n")
 
 
+def _work(cfg: ExperimentConfig) -> tuple[_Output, float]:
+    """Run one section; returns its output and elapsed milliseconds."""
+    t0 = time.perf_counter()
+    try:
+        result = _RUNNERS[cfg.kind](cfg)
+    except ConfigError:
+        raise
+    except Exception as exc:
+        raise _ExperimentFailed(cfg.exp_id, "".join(traceback.format_exception(exc))) from None
+    return result, (time.perf_counter() - t0) * 1000
+
+
+def _run_sections(experiments: list[ExperimentConfig], jobs: int) -> list:
+    """Every section's _work result, in config order: serially, or with
+    jobs > 1 on min(jobs, sections) fork-started worker processes."""
+    if jobs > 1 and len(experiments) > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            # cdist and ConvexHull are imported lazily (spaces.py) and most
+            # sections reach them: imported here, every forked worker
+            # inherits them instead of importing scipy.spatial on every run
+            import scipy.spatial  # noqa: F401
+
+            pool = ProcessPoolExecutor(max_workers=min(jobs, len(experiments)),
+                                       mp_context=multiprocessing.get_context("fork"))
+            try:
+                return list(pool.map(_work, experiments))
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return [_work(cfg) for cfg in experiments]
+
+
 def run(config_path: str | Path, out_dir: str | Path | None = None,
         seed: int | None = None, jobs: int | None = None, quiet: bool = False) -> int:
     """Execute every experiment in the config; returns the process exit code
@@ -515,31 +553,15 @@ def run(config_path: str | Path, out_dir: str | Path | None = None,
     out_dir = Path(out_dir) if out_dir is not None else Path("out")
     jobs = max(1, int(jobs or 1))
 
-    def work(cfg: ExperimentConfig):
-        t0 = time.perf_counter()
-        try:
-            result = _RUNNERS[cfg.kind](cfg)
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise _ExperimentFailed(cfg.exp_id) from exc
-        elapsed = (time.perf_counter() - t0) * 1000
-        if not quiet:
-            print(f"[{cfg.exp_id}] {cfg.kind}: {len(result.rows)} rows, "
-                  f"{len(result.verdicts)} verdicts ({elapsed:.0f} ms)",
-                  file=sys.stderr)
-        return result
-
     try:
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                outputs = list(pool.map(work, experiments))
-        else:
-            outputs = [work(cfg) for cfg in experiments]
+        outputs = _run_sections(experiments, jobs)
         rows: list[ReportRow] = []
         verdicts: list[dict] = []
         plots: dict = {}
-        for o in outputs:
+        for cfg, (o, elapsed) in zip(experiments, outputs):
+            if not quiet:
+                print(f"[{cfg.exp_id}] {cfg.kind}: {len(o.rows)} rows, "
+                      f"{len(o.verdicts)} verdicts ({elapsed:.0f} ms)", file=sys.stderr)
             rows.extend(o.rows)
             verdicts.extend(o.verdicts)
             plots.update(o.plots)
@@ -552,7 +574,7 @@ def run(config_path: str | Path, out_dir: str | Path | None = None,
         return 1
     except _ExperimentFailed as exc:
         print(f"runtime error in experiment [{exc.exp_id}]:", file=sys.stderr)
-        traceback.print_exception(exc.__cause__, file=sys.stderr)
+        print(exc.text, end="", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive
         print(f"runtime error: {exc}", file=sys.stderr)

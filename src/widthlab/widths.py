@@ -239,16 +239,20 @@ def _fit_subspaces(
     seeds: list[int],
     restarts: int,
     sweeps: int = 50,
-) -> list[tuple[np.ndarray, float, bool]]:
-    """Best-effort minimax subspace for each cloud; (basis, value, exact_flag).
+) -> list[tuple[np.ndarray, float, float | None]]:
+    """Best-effort minimax subspace for each cloud; (basis, value, lower),
+    lower a certified lower side of the cloud's width on the exact paths
+    (see _exact_fit) and None on the refined ones.
 
     Each search runs on a canonical representative of the dilation class:
     points divided by the largest norm and snapped to a 2^-35 grid.  Exactly
     rescaled inputs therefore produce bitwise-identical witnesses, and the
     returned value is re-evaluated on the original points so the upper bound
     stays sound.  The clouds of one size are scaled, snapped and reduced by
-    one stacked SVD; rank and the exact paths are read per cloud.  A cloud
-    with n = rank - 1 whose facet list fails its checks is refined.  The
+    one stacked SVD; rank and the exact paths are read per cloud, rank above
+    sqrt(m d) 2^-35, twice the Frobenius size of the snap's rounding, so that
+    the snap does not lift a low-rank cloud to full rank.  A cloud with
+    n = rank - 1 whose facet list fails its checks is refined.  The
     clouds left to the iterative refinement get their start frames from one
     stacked QR and run one stacked _minimax_fit per (size, rank) shape, and
     their values come from one stacked distance pass.  Stacked or not, every
@@ -269,7 +273,7 @@ def _fit_subspaces(
             continue
         C = np.round((P[live] / scales[live, None, None]) * _SNAP) / _SNAP
         _, S, Vt = np.linalg.svd(C, full_matrices=False)
-        ranks = np.sum(S > np.maximum(1e-13, S[:, 0] * 1e-12)[:, None], axis=1).tolist()
+        ranks = np.sum(S > math.sqrt(m * d) / _SNAP, axis=1).tolist()
         refine: dict[int, list[int]] = {}
         for g, rank in enumerate(ranks):
             i, scale, B = ids[live[g]], float(scales[live[g]]), Vt[g, :rank].T
@@ -296,15 +300,25 @@ def _fit_subspaces(
             Vs = [Vt[g, :rank].T @ V for g, V in zip(gs, frames)]
             vals = _euclid_dists(P[live[gs]], np.stack(Vs)).max(axis=-1).tolist()
             for g, V, val in zip(gs, Vs, vals):
-                fits[ids[live[g]]] = (V, val, False)
+                fits[ids[live[g]]] = (V, val, None)
     return fits
 
 
 def _exact_fit(P: np.ndarray, V: np.ndarray, scale: float, snap_val: float):
-    """An exact path's fit: V's value on the original points, exact when it
-    is the snapped cloud's value scale * snap_val."""
+    """An exact path's fit (V, value, lower): V's value on the original
+    points P, and a certified lower side of their width w(P).
+
+    The snap moves each coordinate of P / scale by at most 2^-36, so each
+    point by at most s = sqrt(d) 2^-36 scale, and the width, a min over
+    subspaces of a max of distances, by at most s: w(P) >= scale * snap_val
+    - s, as snap_val, the snapped cloud's width in its row space, is at most
+    its width.  Less a rounding margin 1e-10 max(1, value), that is the side.
+    A bracket on it is exact when it closes to 1e-9 max(1, value), which the
+    snap alone can prevent on a cloud whose scale is many times its width.
+    """
     val = float(_euclid_dists(P, V).max())
-    return V, val, abs(val - scale * snap_val) <= 1e-10 * max(1.0, val)
+    slack = math.sqrt(P.shape[1]) * scale / (2 * _SNAP)
+    return V, val, max(0.0, scale * snap_val - slack - 1e-10 * max(1.0, val))
 
 
 def linear_width(
@@ -370,12 +384,12 @@ def linear_width(
             fam, restarts,
         )
 
-    [(V, val, exact)] = _fit_subspaces([P], n, [seed], restarts)
+    [(V, val, cert)] = _fit_subspaces([P], n, [seed], restarts)
 
     fam = SubspaceFamily((V,), np.zeros(m, dtype=int), val)
-    if exact:
-        lower = max(spectral, val - 1e-10 * max(1.0, val))
-        br = Bracket(min(lower, val), val, exact=True,
+    if cert is not None:
+        lower = min(max(spectral, cert), val)
+        br = Bracket(lower, val, exact=val - lower <= 1e-9 * max(1.0, val),
                      lower_method="exact-path", upper_method="exact-path")
     else:
         br = Bracket(min(spectral, val), val, exact=False,
@@ -393,11 +407,11 @@ class _ClusterCache:
         self.n = n
         self.seed = seed
         # an unused cluster label: a zero placeholder basis, value 0
-        self.store: dict[tuple[int, ...], tuple[np.ndarray, float, bool]] = {
-            (): (np.zeros((P.shape[1], n)), 0.0, True)}
+        self.store: dict[tuple[int, ...], tuple[np.ndarray, float, float | None]] = {
+            (): (np.zeros((P.shape[1], n)), 0.0, 0.0)}
         self.spreads: dict[tuple[int, ...], float] = {(): 0.0}
 
-    def fit_many(self, idxs) -> list[tuple[np.ndarray, float, bool]]:
+    def fit_many(self, idxs) -> list[tuple[np.ndarray, float, float | None]]:
         """Fits of the point subsets idxs; the uncached ones run as one batch,
         in chunks of _BATCH_FLOATS.  Each chunk also fills in ``spreads``:
         the largest distance of a subset's points to its subspace, read from
@@ -525,12 +539,15 @@ def _alternate(cache: _ClusterCache, starts: list[np.ndarray], N: int):
     return best
 
 
-def _enumerate_partitions(cache: _ClusterCache, m: int, N: int) -> tuple[np.ndarray, bool]:
+def _enumerate_partitions(cache: _ClusterCache, m: int, N: int) -> tuple[np.ndarray, float | None]:
     """Search over the partitions of the m points into at most N clusters:
     every nonempty subset is fitted in one batch, and a partition scores the
     largest value of its blocks.  Returns the least-value assignment, ties
-    going to the smallest labelled code sum_i a_i N^i, and whether every
-    subset's fit was exact, which makes the least value the exact width.
+    going to the smallest labelled code sum_i a_i N^i, and, when every
+    subset's fit carries a certified lower side, the least over partitions
+    of the largest side of their blocks: a lower side of the width, since an
+    optimal family's nearest-subspace partition puts each block within the
+    width of one subspace.
 
     Each partition is scored once, in its labelling of least code: labels
     numbered by first appearance from the last point down.  These are built
@@ -546,10 +563,16 @@ def _enumerate_partitions(cache: _ClusterCache, m: int, N: int) -> tuple[np.ndar
 
     subsets = [tuple(i for i in range(m) if mask >> i & 1) for mask in range(1, 2**m)]
     fits = cache.fit_many(subsets)
-    table = np.zeros(2**m)  # the empty block scores 0
-    table[1:] = [fit[1] for fit in fits]
-    values = np.max([table[mask] for mask in masks], axis=0)
-    return labels[int(np.argmin(values))].copy(), all(fit[2] for fit in fits)
+
+    def scores(column: int) -> np.ndarray:
+        table = np.zeros(2**m)  # the empty block scores 0
+        table[1:] = [fit[column] for fit in fits]
+        return np.max([table[mask] for mask in masks], axis=0)
+
+    best = labels[int(np.argmin(scores(1)))].copy()
+    if any(fit[2] is None for fit in fits):
+        return best, None
+    return best, float(scores(2).min())
 
 
 def nonlinear_width(
@@ -570,10 +593,12 @@ def nonlinear_width(
     Tiny instances (m <= 9 points, N <= 3) instead fit all 2^m - 1 subsets
     in one batch and score every partition into at most N clusters by its
     largest cluster value; the least value wins, ties going to the smallest
-    labelled code sum_i a_i N^i; when every subset's fit is exact (as for
-    n = d - 1 up to rank _FACET_RANK_LIMIT), so is the bracket.  Otherwise
-    the lower bound is the spectral bound at dimension n*N, since one
-    nN-dimensional space contains any N-family.
+    labelled code sum_i a_i N^i; when every subset's fit takes an exact path
+    (as for n = d - 1 up to rank _FACET_RANK_LIMIT), the partitions' least
+    largest certified block side is the lower side, and the bracket is exact
+    when that closes it to 1e-9.  Otherwise the lower bound is the spectral
+    bound at dimension n*N, since one nN-dimensional space contains any
+    N-family.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -601,6 +626,7 @@ def nonlinear_width(
     cache = _ClusterCache(P, n, seed)
 
     best = None
+    cert = None
     restarts_used = 0
     if m <= N:
         # each point spans a subspace of its own
@@ -608,10 +634,10 @@ def nonlinear_width(
         best = (0.0, [V for V, _, _ in cache.fit_many(_clusters(assign, N))], assign)
         method = "per-point-span"
     elif m <= ENUM_POINT_LIMIT and N <= ENUM_FAMILY_LIMIT and not force_heuristic:
-        best_assign, exact_all = _enumerate_partitions(cache, m, N)
+        best_assign, cert = _enumerate_partitions(cache, m, N)
         bases, _, per_point = _family_value(cache, best_assign, N)
         best = (float(per_point.max()), bases, best_assign)
-        method = "assignment-enumeration" + ("-exact" if exact_all else "")
+        method = "assignment-enumeration"
     else:
         starts: list[np.ndarray] = [np.zeros(m, dtype=int)]
         norms = np.linalg.norm(P, axis=1)
@@ -643,9 +669,11 @@ def nonlinear_width(
     dists = np.stack([_euclid_dists(P, V) for V in bases], axis=1)
     val = float(dists[np.arange(m), assign].max())
     fam = SubspaceFamily(bases, assign, val)
-    if method.endswith("-exact"):
-        lower = max(lower, val - 1e-10 * max(1.0, val))
-        br = Bracket(min(lower, val), val, exact=True, lower_method=method, upper_method=method)
+    if cert is not None:
+        lower = min(max(lower, cert), val)
+        exact = val - lower <= 1e-9 * max(1.0, val)
+        method += "-exact" if exact else ""
+        br = Bracket(lower, val, exact=exact, lower_method=method, upper_method=method)
     else:
         # with m <= N the spectral side is 0, and a per-point span is exact when it fits
         br = Bracket(min(lower, val), val, exact=m <= N and val <= 1e-12,

@@ -1,6 +1,10 @@
+import concurrent.futures
 import csv
 import json
 import math
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,6 +101,22 @@ def test_runtime_error_names_experiment(tmp_path, capsys, jobs):
     assert "runtime error in experiment [too-wide]" in err
     assert "Traceback (most recent call last)" in err
     assert "n=3 exceeds ambient dimension 2" in err
+    # a worker formats its traceback itself: the text reads as the serial one
+    assert "_RemoteTraceback" not in err
+    assert run(p, out_dir=tmp_path / "out", jobs=1, quiet=True) == 1
+    serial = capsys.readouterr().err
+    assert re.sub(r"line \d+", "line N", err) == re.sub(r"line \d+", "line N", serial)
+
+
+def test_config_error_in_a_worker(tmp_path, capsys):
+    p = tmp_path / "bad.cfg"
+    p.write_text("[fine]\nkind = ksigma-reproduce\nn_values = 1,2,3\n\n"
+                 "[lw]\nkind = linear-width\nset = cloud\ncloud_points = 5\n"
+                 "cloud_dim = 2\ncloud_norm = p:two\nn_values = 1\nseed = 1\n")
+    assert run(p, out_dir=tmp_path / "out", jobs=2, quiet=True) == 1
+    err = capsys.readouterr().err
+    assert "config error: [lw] cloud_norm: 'p:two'" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("norm", ["p:inf", "p:0.5", "p:two"])
@@ -142,6 +162,73 @@ def test_deterministic_across_jobs(smoke_config, tmp_path):
     assert run(smoke_config, out_dir=out2, jobs=4, quiet=True) == 0
     assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
     assert (out1 / "verdicts.json").read_bytes() == (out2 / "verdicts.json").read_bytes()
+
+
+PROGRESS = re.compile(r"^\[(?P<id>[^\]]+)\] (?P<kind>\S+): \d+ rows, \d+ verdicts \(\d+ ms\)$")
+
+
+def test_progress_lines_in_config_order(smoke_config, tmp_path, capsys):
+    assert run(smoke_config, out_dir=tmp_path / "out", jobs=2) == 0
+    lines = capsys.readouterr().err.splitlines()
+    matches = [PROGRESS.match(line) for line in lines]
+    assert all(matches), lines
+    assert [(m["id"], m["kind"]) for m in matches] == [
+        (cfg.exp_id, cfg.kind) for cfg in parse_config(smoke_config)]
+
+
+def test_cli_rejects_jobs_below_one(smoke_config, tmp_path, capsys):
+    for jobs in ("0", "-1", "two"):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(smoke_config), "--out", str(tmp_path / "out"), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "argument --jobs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+TWO_SECTIONS = """
+[ks-repro]
+kind = ksigma-reproduce
+alpha = 1.0
+n_values = 1,2,3
+
+[mterm-random]
+kind = mterm
+dict_size = 32
+n_k = 4
+a2 = 2.0
+m = 3
+count = 20
+seed = 5
+"""
+
+
+def test_workers_are_capped_at_the_section_count(tmp_path, monkeypatch):
+    forked = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def map(self, *args, **kwargs):
+            out = list(super().map(*args, **kwargs))
+            forked.append(len(self._processes))
+            return out
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    p = tmp_path / "two.cfg"
+    p.write_text(TWO_SECTIONS)
+    out1, out8 = tmp_path / "o1", tmp_path / "o8"
+    assert run(p, out_dir=out1, jobs=1, quiet=True) == 0
+    assert forked == []
+    assert run(p, out_dir=out8, jobs=8, quiet=True) == 0
+    assert forked == [2]
+    for name in ("results.csv", "verdicts.json"):
+        assert (out1 / name).read_bytes() == (out8 / name).read_bytes()
+
+
+def test_import_loads_no_process_pool():
+    code = ("import sys, widthlab, widthlab.cli; print([m for m in sys.modules "
+            "if m.startswith(('multiprocessing', 'concurrent.futures.process'))])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_violated_fixture_exit_code(tmp_path):
@@ -227,7 +314,7 @@ seed = 4
 
 
 def test_non_euclidean_sections_are_deterministic_across_jobs(tmp_path):
-    # the distance LPs run inside the runner's threads at --jobs 2
+    # at --jobs 2 the distance LPs run inside forked worker processes
     p = tmp_path / "lp.cfg"
     p.write_text(NON_EUCLIDEAN)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"

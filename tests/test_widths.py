@@ -294,14 +294,16 @@ def test_facet_fit_against_refine_and_sampled_directions(d, seed, twist):
     # the facet value is its own hyperplane's value
     assert abs(float(np.abs(P @ w).max()) / float(np.linalg.norm(w)) - v) <= 1e-12 * max(1.0, v)
     # the fit takes it on the cloud over its largest norm, snapped to a
-    # 2^-35 grid; it is flagged exact when that moves the value by at most
-    # 1e-10 max(1, value), which a stretched cloud's scale can exceed
-    [(V, val, exact)] = _fit_subspaces([P], d - 1, [seed], 0)
+    # 2^-35 grid, with a lower side below the unsnapped value; the bracket is
+    # exact when that side closes it to 1e-9 max(1, value), which the snap
+    # can keep a stretched cloud's from doing
+    [(V, val, cert)] = _fit_subspaces([P], d - 1, [seed], 0)
     scale = float(np.linalg.norm(P, axis=1).max())
     assert abs(val - v) <= 2.0**-34 * scale
-    assert exact or twist == "stretched"
+    assert cert is not None and cert <= v * (1 + 1e-12)
     br = linear_width(CompactSetModel.cloud(P), d - 1, seed=seed).bracket
-    assert br.exact == exact and br.upper == val
+    assert br.exact or twist == "stretched"
+    assert br.upper == val and br.lower >= cert
     assert br.lower <= v * (1 + 1e-12)
     # no refined start and no sampled normal beats it
     refined = min(_refine_one_start(P, d - 1, V0, 50)[1]
@@ -314,24 +316,29 @@ def test_facet_fit_against_refine_and_sampled_directions(d, seed, twist):
 
 
 def test_near_flat_subset_falls_back_to_refine(monkeypatch):
-    # a plane of R^3 tilted by about 1e-11: the SVD gives it rank 3, but the
-    # facets Qhull finds for conv(+-X) leave some +-x_i outside, by 2.6e-4
-    # of the gauge
+    # a plane of R^3 tilted by about 1e-11: the snapped cloud's third
+    # singular value lies above 1e-12 of the first, where the facets Qhull
+    # finds for conv(+-X) leave some +-x_i outside, by 2.6e-4 of the gauge;
+    # it lies below the snap's noise, so the plane is read at rank 2
     rng = np.random.default_rng(23)
     R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     flat = (rng.normal(size=(6, 3)) * [1.0, 1.0, 1e-11]) @ R
-    C = np.round(flat / np.linalg.norm(flat, axis=1).max() * _SNAP) / _SNAP
-    _, S, Vt = np.linalg.svd(C)
-    assert S[2] > 1e-12 * S[0]
+    C, rank, Vt = _snapped_rank(flat)
+    _, S, _ = np.linalg.svd(C)
+    assert S[2] > 1e-12 * S[0] and rank == 2
     assert _symmetric_facets(C @ Vt.T) is None
-    P = np.vstack([flat, rng.normal(size=(6, 3))])
-    calls = _count_minimax_calls(monkeypatch)
-    (V, val, exact), (_, _, exact_other) = _ClusterCache(P, 2, 0).fit_many(
-        [tuple(range(6)), tuple(range(6, 12))])
-    assert calls == [1]  # the flat subset alone is refined
-    assert not exact and exact_other
-    assert val == float(_euclid_dists(flat, V).max())
     res = linear_width(CompactSetModel.cloud(flat), 2)
+    assert res.bracket.upper_method == "exact-path" and res.bracket.exact
+    # a subset whose facet list fails its checks is refined
+    P = np.vstack([flat, rng.normal(size=(6, 3))])
+    monkeypatch.setattr(widths, "_symmetric_facets", lambda Q: None)
+    calls = _count_minimax_calls(monkeypatch)
+    (_, _, cert), (V, val, cert_other) = _ClusterCache(P, 2, 0).fit_many(
+        [tuple(range(6)), tuple(range(6, 12))])
+    assert calls == [1]  # the full-rank subset alone is refined
+    assert cert == 0.0 and cert_other is None
+    assert val == float(_euclid_dists(P[6:], V).max())
+    res = linear_width(CompactSetModel.cloud(P[6:]), 2)
     assert res.bracket.upper_method == "minimax-refine" and not res.bracket.exact
 
 
@@ -382,6 +389,52 @@ def test_enumerated_codimension_one_families_are_exact():
     exact = nonlinear_width(CompactSetModel.cloud(P), 2, 2, seed=0).bracket
     heuristic = nonlinear_width(CompactSetModel.cloud(P), 2, 2, seed=0, force_heuristic=True).bracket
     assert exact.exact and exact.upper <= heuristic.upper + 1e-12
+
+
+def test_low_rank_cloud_is_read_above_the_snap_noise():
+    # a plane of R^5: the snap's rounding lifts its snapped copy's singular
+    # values 3 to 5 to about 1e-11, which read against 1e-12 of the first
+    # refined it at rank 5 to [2.4e-16, 9.4e-11]
+    rng = np.random.default_rng([41, 1])
+    X = rng.normal(size=(6, 2)) @ rng.normal(size=(2, 5))
+    br = linear_width(CompactSetModel.cloud(X), 2).bracket
+    assert br.exact and br.lower_method == "exact-path"
+
+
+def _hull_inradius(X):
+    """The inradius of conv(+-X), read from Qhull's facets of the unsnapped points."""
+    from scipy.spatial import ConvexHull
+
+    eq = ConvexHull(np.vstack([X, -X])).equations
+    return float((-eq[:, -1] / np.linalg.norm(eq[:, :-1], axis=1)).min())
+
+
+def test_stretched_codimension_one_widths_are_sound_and_exact():
+    # each coordinate stretched by 0.01 to 10: the snap moves a point by up
+    # to sqrt(3) 2^-36 of the largest norm, many times the width's 1e-9;
+    # 139 of these were exact when that size was not read
+    exact = 0
+    for s in range(200):
+        rng = np.random.default_rng([97, 3, s])
+        X = rng.normal(size=(4, 3)) * rng.uniform(0.01, 10, 3)
+        br = linear_width(CompactSetModel.cloud(X), 2).bracket
+        assert br.lower <= _hull_inradius(X) <= br.upper * (1 + 1e-12), s
+        exact += br.exact
+    # the last two miss 1e-9 by the snap itself, up to 1.08e-9
+    assert exact >= 198
+    # the enumeration's sides, against the nested angle grid's best family
+    for s in range(3):
+        rng = np.random.default_rng([97, 2, s])
+        P = rng.normal(size=(6, 2)) * rng.uniform(0.01, 10, 2)
+        br = nonlinear_width(CompactSetModel.cloud(P), 1, 2).bracket
+        assert br.lower_method.startswith("assignment-enumeration")
+        values = {(): 0.0}
+        for k in range(1, 7):
+            for idx in itertools.combinations(range(6), k):
+                values[idx] = angle_grid_width(P[list(idx)], grid=2001, zooms=6)
+        best = min(max(values[tuple(i for i in range(6) if a[i] == c)] for c in range(2))
+                   for a in itertools.product(range(2), repeat=6))
+        assert br.lower <= best and br.upper <= best + 1e-9
 
 
 def test_linear_width_witness_consistent():
@@ -515,7 +568,7 @@ def _snapped_rank(P):
     read from it, and its right singular vectors."""
     C = np.round((P / float(np.max(np.linalg.norm(P, axis=1)))) * _SNAP) / _SNAP
     _, S, Vt = np.linalg.svd(C, full_matrices=False)
-    return C, int(np.sum(S > max(1e-13, S[0] * 1e-12))), Vt
+    return C, int(np.sum(S > math.sqrt(P.size) / _SNAP)), Vt
 
 
 def _reference_fit(P, n, seed, restarts, sweeps):
@@ -562,16 +615,16 @@ def test_batched_fit_matches_sequential_restarts(m, d, n, restarts, sweeps, rank
         else:
             clouds.append(rng.normal(size=(m, rank)) @ rng.normal(size=(rank, d)))
     fits = _fit_subspaces(clouds, n, [0, 1, 2], restarts, sweeps)
-    for trial, (P, (V, val, exact)) in enumerate(zip(clouds, fits)):
+    for trial, (P, (V, val, cert)) in enumerate(zip(clouds, fits)):
         V_ref, val_ref = _reference_fit(P, n, trial, restarts, sweeps)
-        assert not exact
+        assert cert is None
         assert np.array_equal(V, V_ref)
         assert val == val_ref
         # alone, as linear_width fits it
-        V1, val1, exact1 = _fit_subspaces([P], n, [trial], restarts, sweeps)[0]
+        V1, val1, cert1 = _fit_subspaces([P], n, [trial], restarts, sweeps)[0]
         assert np.array_equal(V1, V_ref)
         assert val1 == val_ref
-        assert not exact1
+        assert cert1 is None
 
 
 def _count_minimax_calls(monkeypatch):
@@ -605,7 +658,7 @@ def test_fit_many_matches_per_subset_fits(n, monkeypatch):
     assert max(calls) > 1  # subsets of one shape share a stacked solve
     assert len(calls) < len(set(idxs))
     paths = set()
-    for idx, (V, val, exact) in zip(idxs + idxs[:4], fits):
+    for idx, (V, val, cert) in zip(idxs + idxs[:4], fits):
         Ps = P[list(idx)]
         V_ref, val_ref = _reference_fit(Ps, n, _subset_seed(13, idx),
                                         _CLUSTER_RESTARTS, _CLUSTER_SWEEPS)
@@ -614,7 +667,7 @@ def test_fit_many_matches_per_subset_fits(n, monkeypatch):
         assert cache.fit_many([idx])[0][0] is V  # cached, not refitted
         rank = _snapped_rank(Ps)[1]
         paths.add("exact" if n >= rank else "facet" if n == rank - 1 else f"refine-{rank}")
-        assert exact == (n >= rank - 1), idx
+        assert (cert is not None) == (n >= rank - 1), idx
     assert {"exact", "facet", "refine-5"} <= paths
     assert ("refine-3" in paths) == (n == 1)
 
