@@ -3,10 +3,13 @@
 Covering balls are closed (distance <= eps); packings require strict
 separation (> eps).  Upper bounds come from a deterministic greedy cover
 (largest-norm-first, ties to the lowest point index); lower bounds come from
-packings at doubled radius or, on small instances, from an exact
-branch-and-bound set cover.  On those small instances an inner entropy
-number is a single pairwise distance, found by a binary search over the
-distinct distances and reported as an exact bracket [d, d].  The coordinate
+packings at doubled radius.  One rule decides every exact path: on clouds of
+at most EXACT_POINT_LIMIT points, bitmask branch and bound gives cover
+counts, maximum packings and inner entropy numbers, each search stopping
+after _NODE_BUDGET nodes.  An inner entropy number there is a single
+pairwise distance, found by a binary search over the distinct distances and
+reported as an exact bracket [d, d].  Above the limit, or when a search runs
+out of nodes, the greedy cover and packing give the bracket.  The coordinate
 sequence family additionally has closed-form paths.
 
 Each public function builds one distance matrix and hands it to the private
@@ -43,9 +46,9 @@ __all__ = [
     "ksigma_packing_count",
 ]
 
-DEFAULT_NODE_BUDGET = 250_000
-EXACT_COVER_POINT_LIMIT = 40
-EXHAUSTIVE_PACKING_LIMIT = 25
+EXACT_POINT_LIMIT = 64
+_NODE_BUDGET = 250_000
+_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,8 @@ class _Geom:
         self.norms = np.asarray(cloud.norm.norm(self.pts), dtype=float).reshape(-1)
         # greedy pick order: descending norm, ties to the lowest index
         self.order = np.lexsort((np.arange(self.m), -self.norms))
+        # the exact searches run on clouds of at most EXACT_POINT_LIMIT points
+        self.small = self.m <= EXACT_POINT_LIMIT
 
     def one_center_radius(self) -> float:
         return float(np.min(np.max(self.D, axis=1)))
@@ -109,11 +114,11 @@ def _ball_masks(D: np.ndarray, eps: float) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _bisect(pred, lo: float, hi: float, tol: float) -> tuple[float, float]:
+def _bisect(pred, lo: float, hi: float) -> tuple[float, float]:
     """Halve [lo, hi] around the switch of a monotone predicate (true moves
-    hi down, false moves lo up) until it is at most tol wide."""
+    hi down, false moves lo up) until it is at most _TOL wide."""
     for _ in range(200):
-        if hi - lo <= tol:
+        if hi - lo <= _TOL:
             break
         mid = 0.5 * (lo + hi)
         if pred(mid):
@@ -121,6 +126,10 @@ def _bisect(pred, lo: float, hi: float, tol: float) -> tuple[float, float]:
         else:
             lo = mid
     return lo, hi
+
+
+class _BudgetExhausted(Exception):
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -166,28 +175,46 @@ def _greedy_packing_indices(geom: _Geom, eps: float) -> list[int]:
     return chosen
 
 
+def _clique_partition_size(adj: list[int], cand: int) -> int:
+    """Number of cliques in a greedy partition of cand over the conflict
+    bitmasks; an independent set takes at most one point from each."""
+    k = 0
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        common = adj[low.bit_length() - 1] & cand
+        while common:
+            b = common & -common
+            cand ^= b
+            common &= adj[b.bit_length() - 1]
+        k += 1
+    return k
+
+
 def _max_independent_set(adj: list[int], m: int) -> list[int]:
-    """Exact maximum independent set over bitmask adjacency (small m)."""
+    """Maximum independent set over bitmask adjacency by branch and bound.
+
+    A subtree is pruned only when it cannot beat the incumbent, so the first
+    maximum found is the one returned.  Raises _BudgetExhausted after
+    _NODE_BUDGET nodes.
+    """
     best: list[int] = []
+    nodes = 0
 
     def rec(cand: int, chosen: list[int]):
-        nonlocal best
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > _NODE_BUDGET:
+            raise _BudgetExhausted
         if len(chosen) + cand.bit_count() <= len(best):
             return
         if cand == 0:
-            if len(chosen) > len(best):
-                best = list(chosen)
+            best = list(chosen)
             return
-        # branch on the candidate with most conflicts inside cand
-        v, vdeg = -1, -1
-        c = cand
-        while c:
-            b = c & -c
-            i = b.bit_length() - 1
-            deg = (adj[i] & cand).bit_count()
-            if deg > vdeg:
-                v, vdeg = i, deg
-            c ^= b
+        if len(chosen) + _clique_partition_size(adj, cand) <= len(best):
+            return
+        # branch on the candidate with most conflicts inside cand (lowest first)
+        v = max((i for i in range(m) if cand >> i & 1), key=lambda i: (adj[i] & cand).bit_count())
         rec(cand & ~((1 << v) | adj[v]), chosen + [v])
         rec(cand & ~(1 << v), chosen)
 
@@ -195,57 +222,51 @@ def _max_independent_set(adj: list[int], m: int) -> list[int]:
     return best
 
 
-def _max_packing(geom: _Geom, eps: float, exhaustive_limit: int) -> PackingResult:
+def _max_packing(geom: _Geom, eps: float) -> PackingResult:
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if geom.m > exhaustive_limit:
-        idx = _greedy_packing_indices(geom, eps)
-        return PackingResult(eps, geom.pts[idx], len(idx), True, exact=False)
-    adj = [mask & ~(1 << i) for i, mask in enumerate(_ball_masks(geom.D, eps))]
-    idx = _max_independent_set(adj, geom.m)
-    return PackingResult(eps, geom.pts[idx], len(idx), True, exact=True)
+    if geom.small:
+        adj = [mask & ~(1 << i) for i, mask in enumerate(_ball_masks(geom.D, eps))]
+        try:
+            idx = _max_independent_set(adj, geom.m)
+            return PackingResult(eps, geom.pts[idx], len(idx), True, exact=True)
+        except _BudgetExhausted:
+            pass
+    idx = _greedy_packing_indices(geom, eps)
+    return PackingResult(eps, geom.pts[idx], len(idx), True, exact=False)
 
 
-def max_packing(
-    K: CompactSetModel,
-    eps: float,
-    exhaustive_limit: int = EXHAUSTIVE_PACKING_LIMIT,
-) -> PackingResult:
+def max_packing(K: CompactSetModel, eps: float) -> PackingResult:
     """Maximal packing by lowest-index-first insertion; exact maximum by
-    exhaustive search on clouds up to exhaustive_limit points.
+    branch and bound on clouds of at most EXACT_POINT_LIMIT points, unless
+    the search runs out of nodes (then exact is False).
     """
-    return _max_packing(_Geom(K), eps, exhaustive_limit)
+    return _max_packing(_Geom(K), eps)
 
 
 # ---------------------------------------------------------------------------
 # exact set cover (branch and bound over a candidate-center pool)
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
-def _bnb_set_cover(sets: list[int], universe: int, budget: int, best: int):
-    """Minimum number of sets covering universe, given a cover of size best.
-    Returns (count, complete)."""
-    m_sets = len(sets)
+def _bnb_set_cover(sets: list[int], universe: int, best: int):
+    """Minimum number of sets covering universe, if fewer than best (the size
+    of a known cover, or a threshold to decide).  Returns (count, complete);
+    count stays best when no smaller cover turns up."""
+    elems = [i for i in range(universe.bit_length()) if universe >> i & 1]
     # element -> covering set indices
-    elems = []
-    e = universe
-    while e:
-        b = e & -e
-        elems.append(b.bit_length() - 1)
-        e ^= b
-    covers_of = {el: [s for s in range(m_sets) if sets[s] >> el & 1] for el in elems}
+    covers_of = {el: [s for s in range(len(sets)) if sets[s] >> el & 1] for el in elems}
     if any(not v for v in covers_of.values()):
         raise ValueError("universe element not coverable by any candidate")
+    # every set covering a remaining element meets the remaining elements, so
+    # the most constrained remaining element is the first in (degree, index)
+    by_degree = sorted(elems, key=lambda el: (len(covers_of[el]), el))
     nodes = 0
     max_size = max(s.bit_count() for s in sets) if sets else 1
 
     def rec(covered: int, count: int):
         nonlocal best, nodes
         nodes += 1
-        if nodes > budget:
+        if nodes > _NODE_BUDGET:
             raise _BudgetExhausted
         remaining = universe & ~covered
         if remaining == 0:
@@ -253,22 +274,8 @@ def _bnb_set_cover(sets: list[int], universe: int, budget: int, best: int):
             return
         if count + math.ceil(remaining.bit_count() / max_size) >= best:
             return
-        # most constrained uncovered element
-        el, n_opts = -1, None
-        e = remaining
-        while e:
-            b = e & -e
-            i = b.bit_length() - 1
-            opts = sum(1 for s in covers_of[i] if sets[s] & remaining)
-            if n_opts is None or opts < n_opts:
-                el, n_opts = i, opts
-                if opts == 1:
-                    break
-            e ^= b
-        cands = sorted(
-            (s for s in covers_of[el]),
-            key=lambda s: -(sets[s] & remaining).bit_count(),
-        )
+        el = next(i for i in by_degree if remaining >> i & 1)
+        cands = sorted(covers_of[el], key=lambda s: -(sets[s] & remaining).bit_count())
         for s in cands:
             rec(covered | sets[s], count + 1)
 
@@ -280,30 +287,29 @@ def _bnb_set_cover(sets: list[int], universe: int, budget: int, best: int):
 
 
 def _greedy_set_cover_count(cover: np.ndarray, stop_after: int | None = None) -> int:
-    """Classic greedy set cover over a boolean (sets x elements) matrix."""
-    m = cover.shape[1]
-    covered = np.zeros(m, dtype=bool)
+    """Classic greedy set cover over a boolean (sets x elements) matrix; each
+    step's gains are one float32 matrix-vector product (exact counts)."""
+    A = cover.astype(np.float32)
+    uncovered = np.ones(cover.shape[1], dtype=np.float32)
     count = 0
-    while not covered.all():
-        gains = (cover & ~covered).sum(axis=1)
+    while uncovered.any():
+        gains = A @ uncovered
         best = int(np.argmax(gains))
         if gains[best] == 0:
             raise ValueError("pool cannot cover every element")
-        covered |= cover[best]
+        uncovered[cover[best]] = 0
         count += 1
         if stop_after is not None and count > stop_after:
             return count
     return count
 
 
-def _outer_pool(geom: _Geom, midpoint_limit: int = 80) -> np.ndarray:
-    """Candidate outer centers: points, pairwise midpoints, global center.
-
-    Midpoints are skipped above midpoint_limit points (pool size is quadratic).
-    """
+def _outer_pool(geom: _Geom) -> np.ndarray:
+    """Candidate outer centers: points, pairwise midpoints on clouds of at
+    most EXACT_POINT_LIMIT points (the pool is quadratic), global center."""
     pts = geom.pts
     pool = [pts]
-    if geom.m <= midpoint_limit:
+    if geom.small:
         i, j = np.triu_indices(geom.m, 1)
         pool.append(0.5 * (pts[i] + pts[j]))
     if geom.norm.is_euclidean:
@@ -320,87 +326,66 @@ def _prune_dominated(sets: list[int]) -> list[int]:
     return kept
 
 
-def _inner_cover_bnb(geom: _Geom, eps: float, budget: int):
-    """Fewest eps-balls centred at set points, by branch and bound from the
-    greedy cover.  Returns (count, complete)."""
-    sets = _prune_dominated(_ball_masks(geom.D, eps))
-    greedy = len(_greedy_cover_indices(geom, eps))
-    return _bnb_set_cover(sets, (1 << geom.m) - 1, budget, greedy)
+def _inner_cover_bnb(geom: _Geom, eps: float, best: int):
+    """Fewest eps-balls centred at set points, by branch and bound, if fewer
+    than best.  Returns (count, complete)."""
+    return _bnb_set_cover(_prune_dominated(_ball_masks(geom.D, eps)), (1 << geom.m) - 1, best)
 
 
-def _min_cover(geom: _Geom, eps: float, inner: bool, node_budget: int) -> Bracket:
+def _min_cover(geom: _Geom, eps: float, inner: bool, search: bool) -> Bracket:
+    """Cover-count bracket: the greedy cover against a packing at doubled
+    radius, tightened by branch and bound when search is set (exact for
+    inner covers whose search completes)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     lower = max(len(_greedy_packing_indices(geom, 2 * eps)), 1)
-    if inner:
-        count, complete = _inner_cover_bnb(geom, eps, node_budget)
+    upper = len(_greedy_cover_indices(geom, eps))
+    method = "greedy"
+    if search and inner:
+        upper, complete = _inner_cover_bnb(geom, eps, upper)
         if complete:
-            v = float(count)
+            v = float(upper)
             return Bracket(v, v, exact=True,
                            lower_method="branch-bound", upper_method="branch-bound")
-        return Bracket(float(min(lower, count)), float(count), exact=False,
-                       lower_method="packing-2eps", upper_method="greedy|branch-bound-partial")
-
-    upper = len(_greedy_cover_indices(geom, eps))
-    Dp = geom.norm.pairwise(_outer_pool(geom), geom.pts)
-    upper = min(upper, _greedy_set_cover_count(Dp <= eps))
-    count, complete = _bnb_set_cover(
-        _prune_dominated(_ball_masks(Dp, eps)), (1 << geom.m) - 1, node_budget, upper
-    )
-    upper = min(upper, count)
-    return Bracket(
-        float(min(lower, upper)),
-        float(upper),
-        exact=False,
-        lower_method="packing-2eps",
-        upper_method="pool-branch-bound" if complete else "pool-branch-bound-partial",
-    )
+        method = "greedy|branch-bound-partial"
+    elif search:
+        Dp = geom.norm.pairwise(_outer_pool(geom), geom.pts)
+        upper = min(upper, _greedy_set_cover_count(Dp <= eps))
+        upper, complete = _bnb_set_cover(
+            _prune_dominated(_ball_masks(Dp, eps)), (1 << geom.m) - 1, upper
+        )
+        method = "pool-branch-bound" if complete else "pool-branch-bound-partial"
+    return Bracket(float(min(lower, upper)), float(upper), exact=False,
+                   lower_method="packing-2eps", upper_method=method)
 
 
-def min_cover_exact(
-    K: CompactSetModel,
-    eps: float,
-    inner: bool = True,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> Bracket:
-    """Bracket on the minimal eps-cover cardinality.
+def min_cover_exact(K: CompactSetModel, eps: float, inner: bool = True) -> Bracket:
+    """Bracket on the minimal eps-cover cardinality, searched at any size.
 
     Inner covers (centers restricted to set points) are solved exactly by
-    branch-and-bound when the budget allows.  Outer covers optimize over a
-    finite candidate pool (points, pairwise midpoints, enclosing-ball center),
-    so the result is an upper-bound bracket and is never flagged exact.
+    branch-and-bound when the node budget allows.  Outer covers optimize over
+    a finite candidate pool (points, pairwise midpoints on small clouds,
+    enclosing-ball center), so the result is an upper-bound bracket and is
+    never flagged exact.
     """
     if K.size > 500:
         raise ValueError("min_cover_exact supports clouds with at most 500 points")
-    return _min_cover(_Geom(K), eps, inner, node_budget)
+    return _min_cover(_Geom(K), eps, inner, search=True)
 
 
 # ---------------------------------------------------------------------------
 # count brackets at fixed radius (sandwich-suite primitives)
 
 
-def cover_number(
-    K: CompactSetModel,
-    eps: float,
-    inner: bool = True,
-    exact_limit: int = EXACT_COVER_POINT_LIMIT,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> Bracket:
-    """Bracket on the minimal (inner) eps-covering number."""
+def cover_number(K: CompactSetModel, eps: float, inner: bool = True) -> Bracket:
+    """Bracket on the minimal (inner) eps-covering number: `min_cover_exact`'s
+    search on clouds of at most EXACT_POINT_LIMIT points, its greedy and
+    packing fallback above."""
     geom = _Geom(K)
-    if geom.m <= exact_limit:
-        return _min_cover(geom, eps, inner, node_budget)
-    upper = len(_greedy_cover_indices(geom, eps))
-    lower = max(len(_greedy_packing_indices(geom, 2 * eps)), 1)
-    return Bracket(float(min(lower, upper)), float(upper), exact=False,
-                   lower_method="packing-2eps", upper_method="greedy")
+    return _min_cover(geom, eps, inner, search=geom.small)
 
 
-def packing_number(
-    K: CompactSetModel,
-    eps: float,
-    exhaustive_limit: int = EXHAUSTIVE_PACKING_LIMIT,
-) -> Bracket:
+def packing_number(K: CompactSetModel, eps: float) -> Bracket:
     """Bracket on the maximal eps-packing cardinality."""
     if K.is_ksigma:
         v = float(ksigma_packing_count(K, eps))
@@ -408,42 +393,64 @@ def packing_number(
                        lower_method="sequence-closed-form",
                        upper_method="sequence-closed-form")
     geom = _Geom(K)
-    res = _max_packing(geom, eps, exhaustive_limit)
+    res = _max_packing(geom, eps)
     if res.exact:
         v = float(res.cardinality)
         return Bracket(v, v, exact=True,
                        lower_method="exhaustive", upper_method="exhaustive")
     upper = max(len(_greedy_cover_indices(geom, eps / 2)), res.cardinality)
+    lower_method = "greedy-packing" + ("|exhaustive-partial" if geom.small else "")
     return Bracket(float(res.cardinality), float(upper), exact=False,
-                   lower_method="greedy-packing", upper_method="half-radius-cover")
+                   lower_method=lower_method, upper_method="half-radius-cover")
 
 
 # ---------------------------------------------------------------------------
 # entropy numbers
 
 
-def entropy_number(
-    K: CompactSetModel,
-    n: int,
-    inner: bool = True,
-    tol: float = 1e-9,
-    exact_limit: int = EXACT_COVER_POINT_LIMIT,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> Bracket:
+def _inner_entropy_search(geom: _Geom, target: int, hi0: float) -> float | None:
+    """Least pairwise distance at which target balls centred at set points
+    cover, or None when a count runs out of nodes.
+
+    One ball on the one-center point covers at hi0, so the binary search over
+    the sorted distinct distances stops there.  Each probe only asks whether
+    target balls suffice: the greedy cover answers yes, or branch and bound
+    looks for a cover of at most target balls.
+    """
+    spectrum = np.unique(geom.D)
+    lo, hi = 0, int(np.searchsorted(spectrum, hi0))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        eps = spectrum[mid]
+        if len(_greedy_cover_indices(geom, eps, stop_after=target)) <= target:
+            hi = mid
+            continue
+        count, complete = _inner_cover_bnb(geom, eps, target + 1)
+        if not complete:
+            return None
+        if count <= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(spectrum[hi])
+
+
+def entropy_number(K: CompactSetModel, n: int, inner: bool = True) -> Bracket:
     """Bracket on the n-th (inner) entropy number: the radius threshold at
     which 2^n balls suffice.
 
     The inner e_0 is the one-center radius min_i max_j d(x_i, x_j), and the
     outer one the Chebyshev radius (`chebyshev_radius`), exact for
-    euclidean and max-norm clouds.  Other inner numbers
-    of clouds with at most exact_limit points are a pairwise distance: a
-    binary search over the sorted distinct distances, deciding each by an
-    exact branch-and-bound cover count, returns it as an exact bracket.
-    Otherwise, or when a count exhausts node_budget, the upper side bisects
-    the greedy cover (plus, for outer numbers on small clouds, the
-    candidate-pool cover) and the lower side keeps the largest radius at
-    which a packing at doubled radius shows that 2^n balls cannot suffice,
-    both to width tol.
+    euclidean and max-norm clouds.  Other inner numbers of clouds with at
+    most EXACT_POINT_LIMIT points are a pairwise distance: a binary search
+    over the sorted distinct distances, deciding each by a branch-and-bound
+    cover count, returns it as an exact bracket.  Otherwise, or when a count
+    runs out of nodes, the upper side bisects the greedy cover (plus, for
+    outer numbers on small clouds, the candidate-pool cover) and the lower
+    side keeps the largest radius at which a packing at doubled radius shows
+    that 2^n balls cannot suffice, both to width 1e-9.  Any inner cover is an
+    outer cover, so an outer upper side on a small cloud is at most the exact
+    inner number (tagged `inner-branch-bound` when that is lower).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -458,29 +465,13 @@ def entropy_number(
         return Bracket(hi0, hi0, exact=True, lower_method="one-center", upper_method="one-center")
     if n == 0:
         return chebyshev_radius(geom.model)
-    if inner and geom.m <= exact_limit:
-        # one ball on the one-center point covers at hi0, so the threshold is
-        # the least distance up to hi0 at which 2^n balls cover
-        spectrum = np.unique(geom.D)
-        lo, hi = 0, int(np.searchsorted(spectrum, hi0))
-        while lo < hi:
-            mid = (lo + hi) // 2
-            count, complete = _inner_cover_bnb(geom, spectrum[mid], node_budget)
-            if not complete:
-                break  # fall through to the heuristic path
-            if count <= target:
-                hi = mid
-            else:
-                lo = mid + 1
-        else:
-            d = float(spectrum[hi])
-            return Bracket(d, d, exact=True,
-                           lower_method="branch-bound", upper_method="branch-bound")
+    exact = _inner_entropy_search(geom, target, hi0) if geom.small else None
+    if inner and exact is not None:
+        return Bracket(exact, exact, exact=True,
+                       lower_method="branch-bound", upper_method="branch-bound")
 
-    small_outer = (not inner) and geom.m <= exact_limit
-    pool_dists = None
-    if small_outer:
-        pool_dists = geom.norm.pairwise(_outer_pool(geom), geom.pts)
+    small_outer = (not inner) and geom.small
+    pool_dists = geom.norm.pairwise(_outer_pool(geom), geom.pts) if small_outer else None
 
     def upper_feasible(eps: float) -> bool:
         cnt = len(_greedy_cover_indices(geom, eps, stop_after=target))
@@ -492,18 +483,21 @@ def entropy_number(
 
     # a single greedy ball of diameter radius always covers
     hi = hi0 if upper_feasible(hi0) else float(geom.D.max()) * (1 + 1e-9) + 1e-12
-    upper = _bisect(upper_feasible, 0.0, hi, tol)[1]
+    upper = _bisect(upper_feasible, 0.0, hi)[1]
 
     def no_certificate(eps: float) -> bool:
         # any 2eps-packing larger than the ball budget rules the radius out
         return len(_greedy_packing_indices(geom, 2 * eps)) <= target
 
-    start = min(tol, upper) * 1e-3
-    lower = 0.0 if no_certificate(start) else _bisect(no_certificate, start, upper, tol)[0]
-    lower = min(lower, upper)
-    return Bracket(lower, upper, exact=False,
-                   lower_method="packing-cert",
-                   upper_method="greedy" + ("|pool" if small_outer else ""))
+    start = min(_TOL, upper) * 1e-3
+    lower = 0.0 if no_certificate(start) else _bisect(no_certificate, start, upper)[0]
+    upper_method = "greedy" + ("|pool" if small_outer else "")
+    if geom.small and exact is None:
+        upper_method += "|branch-bound-partial"
+    elif exact is not None and exact < upper:
+        upper, upper_method = exact, "inner-branch-bound"
+    return Bracket(min(lower, upper), upper, exact=False,
+                   lower_method="packing-cert", upper_method=upper_method)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ import itertools
 import math
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from widthlab import entropy
 from widthlab.entropy import (
     entropy_number,
     ksigma_inner_entropy_exact,
@@ -75,10 +77,11 @@ def test_acceptance_01_ksigma_entropy_reproduction():
         if not br.contains(cf, slack=K.tail_gap + 1e-9):
             ok = False
             msgs.append(f"containment failed at n={n}")
-        if n <= 4 and not br.exact:
+        if n <= 5 and not br.exact:
             ok = False
             msgs.append(f"branch-and-bound not exact at n={n}")
-        greedy = entropy_number(K, n, inner=True, exact_limit=0)
+        with mock.patch.object(entropy, "EXACT_POINT_LIMIT", 0):
+            greedy = entropy_number(K, n, inner=True)
         if abs(greedy.upper - cf) > 2e-9:
             ok = False
             msgs.append(f"greedy threshold off at n={n}: {greedy.upper} vs {cf}")

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -166,8 +167,8 @@ def test_entropy_number_examples():
 @pytest.mark.parametrize("norm", [NormSpec("euclidean", 4), NormSpec("max", 4),
                                   NormSpec("pnorm", 4, p=1.5)])
 def test_zeroth_entropy_numbers_are_closed_forms(norm):
-    K = CompactSetModel.cloud(np.random.default_rng([61, 0]).normal(size=(60, 4)), norm)
-    assert K.size > entropy.EXACT_COVER_POINT_LIMIT
+    K = CompactSetModel.cloud(np.random.default_rng([61, 0]).normal(size=(70, 4)), norm)
+    assert K.size > entropy.EXACT_POINT_LIMIT
     r = float(np.min(np.max(norm.pairwise(K.points), axis=1)))
     inner = entropy_number(K, 0, inner=True)
     assert inner.exact and inner.lower == inner.upper == r
@@ -268,10 +269,11 @@ def test_ksigma_packing_formula_vs_exhaustive():
 
 def test_packing_number_bracket():
     rng = np.random.default_rng(4)
-    K = CompactSetModel.cloud(rng.normal(size=(40, 3)))
+    K = CompactSetModel.cloud(rng.normal(size=(70, 3)))
     br = packing_number(K, 0.8)
     assert br.lower <= br.upper
-    assert not br.exact  # above the exhaustive limit
+    assert not br.exact  # above the exact point limit
+    assert br.lower_method == "greedy-packing"
     small = CompactSetModel.cloud(rng.normal(size=(12, 3)))
     assert packing_number(small, 0.8).exact
 
@@ -303,7 +305,8 @@ def test_inner_entropy_brackets_hold_brute_force(pts, norm):
         value = brute_inner_entropy(D, n)
         exact = entropy_number(K, n, inner=True)
         assert exact.exact and exact.lower == exact.upper == value
-        assert entropy_number(K, n, inner=True, exact_limit=0).contains(value)
+        with mock.patch.object(entropy, "EXACT_POINT_LIMIT", 0):
+            assert entropy_number(K, n, inner=True).contains(value)
 
 
 def test_ball_masks_match_loop():
@@ -322,17 +325,74 @@ def test_ball_masks_match_loop():
         assert entropy._ball_masks(D, eps) == loop
 
 
+def reference_greedy_set_cover_count(cover, stop_after=None):
+    """The boolean-loop greedy set cover, one masked sum per step."""
+    covered = np.zeros(cover.shape[1], dtype=bool)
+    count = 0
+    while not covered.all():
+        gains = (cover & ~covered).sum(axis=1)
+        best = int(np.argmax(gains))
+        covered |= cover[best]
+        count += 1
+        if stop_after is not None and count > stop_after:
+            return count
+    return count
+
+
+def test_greedy_set_cover_count_matches_boolean_loop():
+    rng = np.random.default_rng(37)
+    for _ in range(40):
+        n_sets, m = rng.integers(1, 200), rng.integers(1, 70)
+        cover = rng.uniform(size=(n_sets, m)) < rng.uniform(0.02, 0.5)
+        cover[rng.integers(n_sets, size=m), np.arange(m)] = True
+        for stop_after in (None, 1, 4):
+            assert (entropy._greedy_set_cover_count(cover, stop_after)
+                    == reference_greedy_set_cover_count(cover, stop_after))
+
+
+def reference_max_independent_set(adj, m):
+    """Branch and bound pruned by the candidate count alone, no budget."""
+    best = []
+
+    def rec(cand, chosen):
+        nonlocal best
+        if len(chosen) + cand.bit_count() <= len(best):
+            return
+        if cand == 0:
+            best = list(chosen)
+            return
+        v = max((i for i in range(m) if cand >> i & 1), key=lambda i: (adj[i] & cand).bit_count())
+        rec(cand & ~((1 << v) | adj[v]), chosen + [v])
+        rec(cand & ~(1 << v), chosen)
+
+    rec((1 << m) - 1, [])
+    return best
+
+
+@pytest.mark.parametrize("norm", TINY_NORMS)
+def test_clique_bound_keeps_the_packing_witness(norm):
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        K = CompactSetModel.cloud(rng.normal(size=(int(rng.integers(2, 21)), 2)), norm)
+        D = norm.pairwise(K.points)
+        eps = float(rng.uniform(0.2, 0.6)) * D.max()
+        adj = [mask & ~(1 << i) for i, mask in enumerate(entropy._ball_masks(D, eps))]
+        witness = reference_max_independent_set(adj, K.size)
+        res = max_packing(K, eps)
+        assert res.exact and np.array_equal(res.points, K.points[witness])
+
+
 def test_exact_entropy_searches_the_distance_spectrum(monkeypatch):
     calls = []
     bnb = entropy._inner_cover_bnb
 
-    def counting(geom, eps, budget):
+    def counting(geom, eps, best):
         calls.append(eps)
-        return bnb(geom, eps, budget)
+        return bnb(geom, eps, best)
 
     monkeypatch.setattr(entropy, "_inner_cover_bnb", counting)
     rng = np.random.default_rng(13)
-    for m in (12, 25, 40):
+    for m in (12, 25, 40, 60):
         K = CompactSetModel.cloud(rng.normal(size=(m, 3)))
         distinct = len(np.unique(K.norm.pairwise(K.points)))
         for n in (1, 2, 3):
@@ -386,3 +446,101 @@ def test_sequence_embedding_is_cached(monkeypatch):
     for n in (1, 2, 3):
         entropy_number(K, n, inner=False)
     assert len(calls) == 1
+
+
+SUITE_CLOUD = np.random.default_rng([101, 0]).normal(size=(60, 4))
+
+
+@pytest.mark.parametrize("norm", [NormSpec("max", 4), NormSpec("pnorm", 4, p=1.5)])
+def test_outer_entropy_upper_is_at_most_inner(norm):
+    # any inner cover is an outer cover, so on clouds within the exact limit
+    # the outer upper side never exceeds the exact inner number
+    K = CompactSetModel.cloud(np.random.default_rng([61, 0]).normal(size=(60, 4)), norm)
+    for n in (1, 2, 3):
+        inner = entropy_number(K, n, inner=True)
+        outer = entropy_number(K, n, inner=False)
+        assert inner.exact and outer.upper <= inner.upper
+        assert outer.upper_method in ("greedy|pool", "inner-branch-bound")
+        if norm.kind == "pnorm" and n == 1:
+            # both read [2.4738, 5.2053] from the same greedy cover before
+            assert inner.upper == pytest.approx(3.4415, abs=1e-4)
+            assert outer.upper == pytest.approx(3.2193, abs=1e-4)
+            assert outer.lower == pytest.approx(2.4738, abs=1e-4)
+    K = CompactSetModel.cloud(SUITE_CLOUD)
+    inner, outer = entropy_number(K, 1, inner=True), entropy_number(K, 1, inner=False)
+    assert outer.upper_method == "inner-branch-bound" and outer.upper == inner.upper
+
+
+def milp_cover_count(D, eps):
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    m = len(D)
+    res = milp(np.ones(m), constraints=LinearConstraint((D <= eps).astype(float), 1, np.inf),
+               integrality=np.ones(m), bounds=Bounds(0, 1), options={"mip_rel_gap": 0})
+    assert res.success
+    return round(res.fun)
+
+
+def milp_packing_count(D, eps):
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    m = len(D)
+    i, j = np.nonzero(np.triu(D <= eps, 1))
+    A = np.zeros((len(i), m))
+    A[np.arange(len(i)), i] = A[np.arange(len(i)), j] = 1
+    res = milp(-np.ones(m), constraints=LinearConstraint(A, -np.inf, 1),
+               integrality=np.ones(m), bounds=Bounds(0, 1), options={"mip_rel_gap": 0})
+    assert res.success
+    return round(-res.fun)
+
+
+@pytest.mark.parametrize("norm, radii", [
+    (NormSpec("euclidean", 4), (0.8, 1.4, 2.2)),
+    (NormSpec("max", 4), (0.6, 1.05, 1.65)),
+    (NormSpec("pnorm", 4, p=1.5), (0.95, 1.65, 2.6)),
+])
+def test_counts_and_inner_entropy_match_milp(norm, radii):
+    K = CompactSetModel.cloud(SUITE_CLOUD, norm)
+    D = norm.pairwise(K.points)
+    counts = []
+    for eps in radii:
+        cover, packing = cover_number(K, eps), packing_number(K, eps)
+        assert cover.exact and packing.exact
+        assert cover.upper == milp_cover_count(D, eps)
+        assert packing.upper == milp_packing_count(D, eps)
+        counts.append((cover.upper, packing.upper))
+    if norm.kind == "euclidean":
+        assert counts == [(50, 53), (18, 28), (7, 13)]
+    spectrum = np.unique(D)
+    for n in (1, 2, 3):
+        br = entropy_number(K, n, inner=True)
+        assert br.exact
+        k = int(np.searchsorted(spectrum, br.upper))
+        assert spectrum[k] == br.upper
+        assert milp_cover_count(D, spectrum[k]) <= 2**n < milp_cover_count(D, spectrum[k - 1])
+
+
+def test_exhausted_budget_gives_sound_partial_brackets(monkeypatch):
+    K = CompactSetModel.cloud(SUITE_CLOUD)
+    eps = 1.4
+    cover, packing = cover_number(K, eps).upper, packing_number(K, eps).upper
+    inner = {n: entropy_number(K, n, inner=True).upper for n in (1, 2)}
+    monkeypatch.setattr(entropy, "_NODE_BUDGET", 3)
+    br = cover_number(K, eps)
+    assert not br.exact and br.upper_method == "greedy|branch-bound-partial"
+    assert br.contains(cover)
+    br = cover_number(K, eps, inner=False)
+    assert not br.exact and br.upper_method == "pool-branch-bound-partial"
+    assert br.lower <= cover
+    br = packing_number(K, eps)
+    assert not br.exact and br.lower_method == "greedy-packing|exhaustive-partial"
+    assert br.contains(packing)
+    res = max_packing(K, eps)
+    assert not res.exact and res.validate(K) and res.cardinality <= packing
+    for n, value in inner.items():
+        br = entropy_number(K, n, inner=True)
+        assert not br.exact and br.upper_method == "greedy|branch-bound-partial"
+        assert br.contains(value)
+        br = entropy_number(K, n, inner=False)
+        assert br.upper_method == "greedy|pool|branch-bound-partial"
+        assert br.lower <= value

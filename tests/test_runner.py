@@ -329,3 +329,17 @@ def test_non_euclidean_sections_are_deterministic_across_jobs(tmp_path):
     assert {(r["n"], r["method"]) for r in rows if r["quantity"] == "linear_width"} == {
         ("1", "spectral-norm-equivalence/euclid-fit-evaluated"),
         ("2", "facet-inradius/facet-hyperplane")}
+
+
+def test_full_suite_decides_every_verdict(tmp_path):
+    config = Path(__file__).resolve().parents[1] / "demos" / "configs" / "full_suite.cfg"
+    assert run(config, out_dir=tmp_path, quiet=True) == 0
+    verdicts = json.loads((tmp_path / "verdicts.json").read_text())
+    assert len(verdicts) == 40
+    assert [v["check"] for v in verdicts if v["status"] == "indeterminate"] == []
+    with open(tmp_path / "results.csv") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["experiment_id"] == "entropy-cloud"]
+    counted = [r for r in rows if r["quantity"].startswith(("cover_number", "packing_number"))
+               or (r["quantity"] == "inner_entropy" and r["n"] != "0")]
+    assert len(counted) == 9
+    assert all(r["exact"] == "true" for r in counted)
