@@ -12,9 +12,11 @@ reported as an exact bracket [d, d].  Above the limit, or when a search runs
 out of nodes, the greedy cover and packing give the bracket.  The coordinate
 sequence family additionally has closed-form paths.
 
-Each public function builds one distance matrix and hands it to the private
-helpers; nothing is cached across calls, so a large cloud's matrix lives only
-as long as the call that needs it.
+Each public function builds one geometry (`_Geom`) and hands it to the
+private helpers; nothing is cached across calls.  The exact searches read
+every distance, so within the limit the geometry holds the whole distance
+matrix.  Above it the greedy paths read only the rows of the points they pick,
+and the one-center radius prunes by landmark rows, so no m x m array is built.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spaces import (
+    _DIAMETER_BLOCK,
     Bracket,
     CompactSetModel,
+    _diameter,
     chebyshev_radius,
     sigma_pow2_index,
     sigma_value,
@@ -49,6 +53,8 @@ __all__ = [
 EXACT_POINT_LIMIT = 64
 _NODE_BUDGET = 250_000
 _TOL = 1e-9
+# farthest-first rows that bound every eccentricity in one_center_radius
+_LANDMARKS = 8
 
 
 @dataclass(frozen=True)
@@ -89,7 +95,15 @@ class PackingResult:
 
 class _Geom:
     """Distances, norms, and greedy order for one cloud, built once per public
-    call and handed to the private helpers."""
+    call and handed to the private helpers.
+
+    The exact searches read every distance, so clouds of at most
+    EXACT_POINT_LIMIT points build the whole matrix D at once.  Larger clouds
+    compute the rows that the greedy paths ask for (`row`), each once, and
+    build D only when a caller reads it (`min_cover_exact`).  A row of a
+    smaller block of points equals the same row of D bit for bit, so every
+    result is the same either way.
+    """
 
     def __init__(self, K: CompactSetModel):
         cloud = K.as_cloud()
@@ -97,15 +111,64 @@ class _Geom:
         self.pts = cloud.points
         self.norm = cloud.norm
         self.m = self.pts.shape[0]
-        self.D = cloud.norm.pairwise(self.pts)
         self.norms = np.asarray(cloud.norm.norm(self.pts), dtype=float).reshape(-1)
         # greedy pick order: descending norm, ties to the lowest index
         self.order = np.lexsort((np.arange(self.m), -self.norms))
         # the exact searches run on clouds of at most EXACT_POINT_LIMIT points
         self.small = self.m <= EXACT_POINT_LIMIT
+        self._D = self.norm.pairwise(self.pts) if self.small else None
+        self._rows: dict[int, np.ndarray] = {}
+
+    @property
+    def D(self) -> np.ndarray:
+        if self._D is None:
+            self._D = self.norm.pairwise(self.pts)
+            self._rows.clear()
+        return self._D
+
+    def row(self, i: int) -> np.ndarray:
+        """Distances from point i to every point: row i of D, computed once."""
+        if self._D is not None:
+            return self._D[i]
+        if i not in self._rows:
+            self._rows[i] = self.norm.pairwise(self.pts[i:i + 1], self.pts)[0]
+        return self._rows[i]
 
     def one_center_radius(self) -> float:
-        return float(np.min(np.max(self.D, axis=1)))
+        """min_i max_j D[i, j], the least eccentricity.
+
+        Without D, the rows of _LANDMARKS farthest-first points, starting at
+        the first greedy pick, bound every eccentricity from below: ecc(i) >=
+        D[i, c] = D[c, i] for each computed row c (the distances are
+        symmetric bit for bit).  Only points whose bound is below the
+        best eccentricity found get their rows, the lowest bounds first, in
+        blocks doubling up to _DIAMETER_BLOCK rows, and each block raises the
+        bounds in turn.  Only stored distances are compared, so the value is
+        the full matrix's bit for bit.
+        """
+        if self._D is not None:
+            return float(np.min(np.max(self._D, axis=1)))
+        bound = np.zeros(self.m)
+        nearest = np.full(self.m, np.inf)
+        seen = np.zeros(self.m, dtype=bool)
+        best = np.inf
+        c = int(self.order[0])
+        for _ in range(_LANDMARKS):
+            r = self.row(c)
+            seen[c] = True
+            best = min(best, r.max())
+            np.maximum(bound, r, out=bound)
+            np.minimum(nearest, r, out=nearest)
+            c = int(np.argmax(nearest))
+        size = 1
+        while (todo := np.flatnonzero(~seen & (bound < best))).size:
+            block = todo[np.argsort(bound[todo], kind="stable")[:size]]
+            R = self.norm.pairwise(self.pts[block], self.pts)
+            seen[block] = True
+            best = min(best, R.max(axis=1).min())
+            np.maximum(bound, R.max(axis=0), out=bound)
+            size = min(2 * size, _DIAMETER_BLOCK)
+        return float(best)
 
 
 def _ball_masks(D: np.ndarray, eps: float) -> list[int]:
@@ -148,7 +211,7 @@ def _greedy_cover_indices(geom: _Geom, eps: float, stop_after: int | None = None
             return centers
         c = int(geom.order[ptr])
         centers.append(c)
-        covered |= geom.D[c] <= eps
+        covered |= geom.row(c) <= eps
         if stop_after is not None and len(centers) > stop_after:
             return centers
 
@@ -165,13 +228,16 @@ def greedy_cover(K: CompactSetModel, eps: float, inner: bool = True) -> CoverRes
     return CoverResult(eps, geom.pts[idx], inner, len(idx), exact=False)
 
 
-def _greedy_packing_indices(geom: _Geom, eps: float) -> list[int]:
+def _greedy_packing_indices(geom: _Geom, eps: float, stop_after: int | None = None) -> list[int]:
+    """Lowest-index-first packing (point indices); stops early once count exceeds stop_after."""
     blocked = np.zeros(geom.m, dtype=bool)
     chosen: list[int] = []
     for i in range(geom.m):
         if not blocked[i]:
             chosen.append(i)
-            blocked |= geom.D[i] <= eps
+            blocked |= geom.row(i) <= eps
+            if stop_after is not None and len(chosen) > stop_after:
+                break
     return chosen
 
 
@@ -441,10 +507,11 @@ def entropy_number(K: CompactSetModel, n: int, inner: bool = True) -> Bracket:
 
     The inner e_0 is the one-center radius min_i max_j d(x_i, x_j), and the
     outer one the Chebyshev radius (`chebyshev_radius`), exact for
-    euclidean and max-norm clouds.  Other inner numbers of clouds with at
-    most EXACT_POINT_LIMIT points are a pairwise distance: a binary search
-    over the sorted distinct distances, deciding each by a branch-and-bound
-    cover count, returns it as an exact bracket.  Otherwise, or when a count
+    euclidean and max-norm clouds and for l_p clouds whose two sides agree.
+    Other inner numbers of clouds with at most EXACT_POINT_LIMIT points are
+    a pairwise distance: a binary search over the sorted distinct distances,
+    deciding each by a branch-and-bound cover count, returns it as an exact
+    bracket.  Otherwise, or when a count
     runs out of nodes, the upper side bisects the greedy cover (plus, for
     outer numbers on small clouds, the candidate-pool cover) and the lower
     side keeps the largest radius at which a packing at doubled radius shows
@@ -482,12 +549,12 @@ def entropy_number(K: CompactSetModel, n: int, inner: bool = True) -> Bracket:
         return False
 
     # a single greedy ball of diameter radius always covers
-    hi = hi0 if upper_feasible(hi0) else float(geom.D.max()) * (1 + 1e-9) + 1e-12
+    hi = hi0 if upper_feasible(hi0) else _diameter(geom.pts, geom.norm) * (1 + 1e-9) + 1e-12
     upper = _bisect(upper_feasible, 0.0, hi)[1]
 
     def no_certificate(eps: float) -> bool:
         # any 2eps-packing larger than the ball budget rules the radius out
-        return len(_greedy_packing_indices(geom, 2 * eps)) <= target
+        return len(_greedy_packing_indices(geom, 2 * eps, stop_after=target)) <= target
 
     start = min(_TOL, upper) * 1e-3
     lower = 0.0 if no_certificate(start) else _bisect(no_certificate, start, upper)[0]

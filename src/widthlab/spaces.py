@@ -452,9 +452,16 @@ def _pnorm_center(P: np.ndarray, norm: NormSpec) -> np.ndarray:
     return res.x[:d] * scale
 
 
-# rows of the l_p distance matrix taken at once for the half-diameter:
-# O(_DIAMETER_BLOCK * m) memory
+# rows of a distance matrix taken at once where every distance is read
+# without keeping the matrix: O(_DIAMETER_BLOCK * m) memory
 _DIAMETER_BLOCK = 256
+
+
+def _diameter(pts: np.ndarray, norm: NormSpec) -> float:
+    """Largest distance between rows of pts, over blocks of _DIAMETER_BLOCK
+    rows of the distance matrix."""
+    return max(float(np.max(norm.pairwise(pts[s:s + _DIAMETER_BLOCK], pts)))
+               for s in range(0, len(pts), _DIAMETER_BLOCK))
 
 
 def chebyshev_radius(K: CompactSetModel) -> Bracket:
@@ -462,9 +469,9 @@ def chebyshev_radius(K: CompactSetModel) -> Bracket:
 
     Exact for euclidean clouds and for the max norm, where it is half the
     largest coordinate range (the center sits at the coordinate midranges).
-    l_p clouds pair the half-diameter, a maximum over blocks of
-    _DIAMETER_BLOCK rows of the distance matrix, with the radius measured
-    from the center of a convex solve (``_pnorm_center``).
+    l_p clouds pair the half-diameter (``_diameter``) with the radius
+    measured from the center of a convex solve (``_pnorm_center``); like the
+    euclidean sides, they are flagged exact when they agree to 1e-9 relative.
     """
     K = K.as_cloud()
     pts = K.points
@@ -479,8 +486,7 @@ def chebyshev_radius(K: CompactSetModel) -> Bracket:
         r = float(np.ptp(pts, axis=0).max()) / 2
         return Bracket(r, r, exact=True,
                        lower_method="half-diameter", upper_method="midrange-center")
-    upper = float(np.max(K.norm.norm(pts - _pnorm_center(pts, K.norm))))
-    lower = 0.5 * max(float(np.max(K.norm.pairwise(pts[s:s + _DIAMETER_BLOCK], pts)))
-                      for s in range(0, len(pts), _DIAMETER_BLOCK))
-    return Bracket(lower, max(upper, lower), exact=False,
+    lower = 0.5 * _diameter(pts, K.norm)
+    upper = max(float(np.max(K.norm.norm(pts - _pnorm_center(pts, K.norm)))), lower)
+    return Bracket(lower, upper, exact=upper - lower <= 1e-9 * max(1.0, upper),
                    lower_method="half-diameter", upper_method="convex-center")

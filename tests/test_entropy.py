@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -402,35 +403,127 @@ def test_exact_entropy_searches_the_distance_spectrum(monkeypatch):
             assert len(calls) <= math.ceil(math.log2(distinct)) + 1
 
 
-def count_pairwise(monkeypatch):
-    calls = []
-    pairwise = NormSpec.pairwise
-
-    def counting(self, pts, other=None):
-        calls.append(other is None)
-        return pairwise(self, pts, other)
-
-    monkeypatch.setattr(NormSpec, "pairwise", counting)
-    return calls
-
-
-def test_cover_and_packing_build_one_distance_matrix(monkeypatch):
-    calls = count_pairwise(monkeypatch)
+def test_cover_and_packing_build_one_distance_matrix(pairwise_shapes):
     rng = np.random.default_rng(8)
     for m in (12, 30, 60):
         K = CompactSetModel.cloud(rng.normal(size=(m, 3)))
         for fn in (cover_number, packing_number):
-            calls.clear()
+            pairwise_shapes.clear()
             fn(K, 0.8)
-            assert calls == [True]
+            assert pairwise_shapes == [(m, m)]
 
 
-def test_min_cover_exact_fails_before_distances(monkeypatch):
-    calls = count_pairwise(monkeypatch)
+def test_min_cover_exact_fails_before_distances(pairwise_shapes):
     K = CompactSetModel.cloud(np.random.default_rng(0).normal(size=(501, 2)))
     with pytest.raises(ValueError, match="at most 500 points"):
         min_cover_exact(K, 0.5)
-    assert calls == []
+    assert pairwise_shapes == []
+
+
+# ---------------------------------------------------------------------------
+# distance rows on demand above the exact limit
+
+
+class FullMatrixGeom:
+    """The geometry before rows on demand: one whole distance matrix per
+    call, every row and the one-center radius read from it."""
+
+    def __init__(self, K):
+        cloud = K.as_cloud()
+        self.model, self.pts, self.norm = cloud, cloud.points, cloud.norm
+        self.m = self.pts.shape[0]
+        self.D = cloud.norm.pairwise(self.pts)
+        self.norms = np.asarray(cloud.norm.norm(self.pts), dtype=float).reshape(-1)
+        self.order = np.lexsort((np.arange(self.m), -self.norms))
+        self.small = self.m <= entropy.EXACT_POINT_LIMIT
+
+    def row(self, i):
+        return self.D[i]
+
+    def one_center_radius(self):
+        return float(np.min(np.max(self.D, axis=1)))
+
+
+ROW_NORMS = {"euclidean": NormSpec("euclidean", 3), "max": NormSpec("max", 3),
+             "l1": NormSpec("pnorm", 3, p=1.0), "l1.5": NormSpec("pnorm", 3, p=1.5)}
+
+
+def shaped_cloud(shape, m, seed):
+    rng = np.random.default_rng([29, m, seed])
+    if shape == "duplicates":
+        return rng.normal(size=(max(1, m // 3), 3))[rng.integers(0, max(1, m // 3), size=m)]
+    if shape == "cospherical":
+        # a regular polygon: in the euclidean norm every point's eccentricity
+        # is the diameter up to rounding, so the landmark rows prune nothing
+        t = 2 * np.pi * np.arange(m) / m
+        return np.column_stack([np.cos(t), np.sin(t), np.zeros(m)])
+    return rng.normal(size=(m, 3))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(ROW_NORMS)), st.sampled_from(["normal", "duplicates", "cospherical"]),
+       st.integers(2, 300), st.integers(0, 2**16))
+def test_pruned_one_center_radius_is_the_full_matrix_minimum(kind, shape, m, seed):
+    norm = ROW_NORMS[kind]
+    K = CompactSetModel.cloud(shaped_cloud(shape, m, seed), norm)
+    expected = np.min(np.max(norm.pairwise(K.points), axis=1))
+    assert entropy._Geom(K).one_center_radius() == expected
+    with mock.patch.object(entropy, "EXACT_POINT_LIMIT", 1):
+        geom = entropy._Geom(K)
+        assert geom._D is None and geom.one_center_radius() == expected
+
+
+def all_results(K):
+    """Every bracket and witness that the greedy and exact paths return."""
+    r = entropy_number(K, 0).upper
+    out = [entropy_number(K, n, inner=inner) for n in range(4) for inner in (True, False)]
+    for eps in (0.15 * r, 0.5 * r):
+        cov, pk = greedy_cover(K, eps), max_packing(K, eps)
+        out += [cover_number(K, eps), packing_number(K, eps),
+                (cov.cardinality, cov.centers.tobytes()),
+                (pk.cardinality, pk.exact, pk.points.tobytes())]
+        if K.size <= 500:
+            out += [min_cover_exact(K, eps), min_cover_exact(K, eps, inner=False)]
+    return out
+
+
+@pytest.mark.parametrize("kind, m", [("euclidean", 65), ("max", 65), ("l1.5", 65),
+                                     ("euclidean", 3000), ("max", 3000), ("l1.5", 1000)])
+def test_rows_on_demand_match_the_full_matrix(kind, m):
+    K = CompactSetModel.cloud(np.random.default_rng([31, m]).normal(size=(m, 3)), ROW_NORMS[kind])
+    with mock.patch.object(entropy, "_Geom", FullMatrixGeom):
+        expected = all_results(K)
+    assert all_results(K) == expected
+
+
+@pytest.mark.parametrize("shape", ["normal", "cospherical"])
+def test_no_call_above_the_limit_asks_for_more_than_a_block(pairwise_shapes, shape):
+    for kind, norm in ROW_NORMS.items():
+        K = CompactSetModel.cloud(shaped_cloud(shape, 700, 0), norm)
+        r = entropy_number(K, 0).upper
+        for n in (1, 2, 3):
+            entropy_number(K, n, inner=True)
+            entropy_number(K, n, inner=False)
+        cover_number(K, 0.3 * r)
+        packing_number(K, 0.3 * r)
+        greedy_cover(K, 0.3 * r)
+        max_packing(K, 0.3 * r)
+    assert pairwise_shapes and max(rows for rows, _ in pairwise_shapes) <= spaces._DIAMETER_BLOCK
+
+
+def test_large_entropy_number_keeps_no_distance_matrix():
+    # the whole 3000 x 3000 matrix alone is 68.7 MiB
+    K = CompactSetModel.cloud(np.random.default_rng(0).normal(size=(3000, 3)))
+    K.norm.pairwise(K.points[:2])  # imports scipy untraced
+    tracemalloc.start()
+    try:
+        br = entropy_number(K, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    with mock.patch.object(entropy, "_Geom", FullMatrixGeom):
+        assert entropy_number(K, 3) == br
 
 
 def test_sequence_embedding_is_cached(monkeypatch):

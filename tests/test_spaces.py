@@ -404,3 +404,13 @@ def test_pnorm_half_diameter_memory_stays_linear_in_blocks():
         tracemalloc.stop()
     assert peak < 8 * 2**20
     assert br.lower == 0.5 * float(np.max(K.norm.pairwise(P)))
+
+
+@pytest.mark.parametrize("p, exact", [(1.0, True), (1.5, False), (3.0, False)])
+def test_pnorm_chebyshev_radius_is_exact_when_its_sides_agree(p, exact):
+    # l1 sides 6.174339085918781 and 6.174339085918783; at p = 1.5 they are
+    # 3.7% apart, at p = 3 0.025%
+    P = np.random.default_rng(2).normal(size=(2000, 3))
+    br = chebyshev_radius(CompactSetModel.cloud(P, NormSpec("pnorm", 3, p=p)))
+    assert br.exact is exact
+    assert (br.upper - br.lower <= 1e-9 * br.upper) is exact
