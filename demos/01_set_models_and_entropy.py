@@ -15,7 +15,7 @@ from widthlab import (
     entropy_number,
     greedy_cover,
     ksigma_inner_entropy_attained,
-    ksigma_inner_entropy_exact,
+    ksigma_nested_cover_radius,
     max_packing,
     packing_number,
     sup_norm,
@@ -32,7 +32,7 @@ print(f"enclosing-ball radius: {chebyshev_radius(K).upper:.6f} (exact)")
 # Greedy covers give upper bounds; packings at doubled radius give lower
 # bounds; small instances are closed exactly by branch and bound.
 for eps in (1.0, 2.0):
-    cov = greedy_cover(K, eps, inner=True)
+    cov = greedy_cover(K, eps)
     pack = max_packing(K, eps)
     nc = cover_number(K, eps, inner=True)
     pn = packing_number(K, eps)
@@ -57,7 +57,7 @@ print("\nsequence family (alpha=1):")
 for n in (1, 2, 3):
     K_seq = CompactSetModel.ksigma(1.0, truncation=2**n + 8)
     br = entropy_number(K_seq, n, inner=True)
-    nested = ksigma_inner_entropy_exact(1.0, n)
+    nested = ksigma_nested_cover_radius(1.0, n)
     hub = ksigma_inner_entropy_attained(1.0, n)
     print(f"  n={n}: numeric [{br.lower:.6f}, {br.upper:.6f}] "
           f"hub-cover {hub:.6f} nested-cover {nested:.6f} "

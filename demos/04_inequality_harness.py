@@ -18,8 +18,8 @@ from widthlab import (
     entropy_sandwich,
     fit_rate,
     ksigma_entropy_series,
-    ksigma_inner_entropy_exact,
     ksigma_linear_width_series,
+    ksigma_nested_cover_radius,
     ksigma_nonlinear_width_series,
     packing_cover_sandwich,
     scale_set,
@@ -44,7 +44,7 @@ v = check_entropy_from_width(K, 2, 2, seed=0)
 print(f"\nentropy-from-width: {v.status} ({v.details})")
 
 # Rate fit: the nested-cover radii decay like 1/log2(n) over a finite window.
-series = {n: Bracket.exactly(ksigma_inner_entropy_exact(1.0, n)) for n in range(3, 13)}
+series = {n: Bracket.exactly(ksigma_nested_cover_radius(1.0, n)) for n in range(3, 13)}
 fit = fit_rate(series, "log-only", (3, 12))
 print(f"\nrate fit on the closed form: alpha_hat = {fit.params['alpha']:.4f}, "
       f"residual {fit.residual:.2e}")

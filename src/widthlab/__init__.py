@@ -10,10 +10,9 @@ from .entropy import (
     entropy_number,
     greedy_cover,
     ksigma_inner_entropy_attained,
-    ksigma_inner_entropy_exact,
+    ksigma_nested_cover_radius,
     ksigma_packing_count,
     max_packing,
-    min_cover_exact,
     packing_number,
 )
 from .harness import (

@@ -4,25 +4,29 @@ Covering balls are closed (distance <= eps); packings require strict
 separation (> eps).  Upper bounds come from a deterministic greedy cover
 (largest-norm-first, ties to the lowest point index); lower bounds come from
 packings at doubled radius.  One rule decides every exact path: on clouds of
-at most EXACT_POINT_LIMIT points, bitmask branch and bound gives cover
+at most EXACT_POINT_LIMIT points, bitmask branch and bound gives inner cover
 counts, maximum packings and inner entropy numbers, each search stopping
 after _NODE_BUDGET nodes.  An inner entropy number there is a single
 pairwise distance, found by a binary search over the distinct distances and
 reported as an exact bracket [d, d].  Above the limit, or when a search runs
-out of nodes, the greedy cover and packing give the bracket.  The coordinate
-sequence family additionally has closed-form paths.
+out of nodes, the greedy cover and packing give the bracket.  One rule gives
+every outer upper count (`_cover_count`): the greedy cover's, or within the
+limit the greedy set cover's over a pool of candidate centers when that is
+fewer; outer counts are never exact.  The coordinate sequence family
+additionally has closed-form paths.
 
 Each public function builds one geometry (`_Geom`) and hands it to the
-private helpers; nothing is cached across calls.  The exact searches read
-every distance, so within the limit the geometry holds the whole distance
-matrix.  Above it the greedy paths read only the rows of the points they pick,
-and the one-center radius prunes by landmark rows, so no m x m array is built.
+private helpers; nothing is cached across calls.  Within the limit the
+geometry holds the whole distance matrix, which the exact searches read.
+Above it the greedy paths read only the rows of the points they pick, and
+the one-center radius prunes by landmark rows, so no m x m array is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,11 +45,10 @@ __all__ = [
     "PackingResult",
     "greedy_cover",
     "max_packing",
-    "min_cover_exact",
     "cover_number",
     "packing_number",
     "entropy_number",
-    "ksigma_inner_entropy_exact",
+    "ksigma_nested_cover_radius",
     "ksigma_inner_entropy_attained",
     "ksigma_packing_count",
 ]
@@ -59,18 +62,22 @@ _LANDMARKS = 8
 
 @dataclass(frozen=True)
 class CoverResult:
+    """A greedy eps-cover.  Its centers are set points, so it is an inner
+    cover (`inner` is always True) and hence also an outer one."""
+
     epsilon: float
     centers: np.ndarray
-    inner: bool
     cardinality: int
-    exact: bool = False
+
+    @property
+    def inner(self) -> bool:
+        return True
 
     def validate(self, K: CompactSetModel, slack: float = 1e-12) -> bool:
+        """Every point within eps of a center, and every center a set point."""
         cloud = K.as_cloud()
         D = cloud.norm.pairwise(cloud.points, self.centers)
         covered = np.all(D.min(axis=1) <= self.epsilon + slack)
-        if not self.inner:
-            return bool(covered)
         DC = cloud.norm.pairwise(self.centers, cloud.points)
         member = np.all(DC.min(axis=1) <= slack)
         return bool(covered and member)
@@ -81,7 +88,6 @@ class PackingResult:
     epsilon: float
     points: np.ndarray
     cardinality: int
-    maximal: bool = True
     exact: bool = False
 
     def validate(self, K: CompactSetModel, slack: float = 0.0) -> bool:
@@ -97,12 +103,12 @@ class _Geom:
     """Distances, norms, and greedy order for one cloud, built once per public
     call and handed to the private helpers.
 
-    The exact searches read every distance, so clouds of at most
-    EXACT_POINT_LIMIT points build the whole matrix D at once.  Larger clouds
-    compute the rows that the greedy paths ask for (`row`), each once, and
-    build D only when a caller reads it (`min_cover_exact`).  A row of a
-    smaller block of points equals the same row of D bit for bit, so every
-    result is the same either way.
+    The exact searches and the outer candidate pool run only on clouds of at
+    most EXACT_POINT_LIMIT points (`small`), and those hold the whole
+    distance matrix D.  Larger clouds have D = None and compute the rows that
+    the greedy paths ask for (`row`), each once.  A row of a block of points
+    equals the same row of the whole matrix bit for bit, so every result is
+    the same either way.
     """
 
     def __init__(self, K: CompactSetModel):
@@ -116,20 +122,13 @@ class _Geom:
         self.order = np.lexsort((np.arange(self.m), -self.norms))
         # the exact searches run on clouds of at most EXACT_POINT_LIMIT points
         self.small = self.m <= EXACT_POINT_LIMIT
-        self._D = self.norm.pairwise(self.pts) if self.small else None
+        self.D = self.norm.pairwise(self.pts) if self.small else None
         self._rows: dict[int, np.ndarray] = {}
-
-    @property
-    def D(self) -> np.ndarray:
-        if self._D is None:
-            self._D = self.norm.pairwise(self.pts)
-            self._rows.clear()
-        return self._D
 
     def row(self, i: int) -> np.ndarray:
         """Distances from point i to every point: row i of D, computed once."""
-        if self._D is not None:
-            return self._D[i]
+        if self.D is not None:
+            return self.D[i]
         if i not in self._rows:
             self._rows[i] = self.norm.pairwise(self.pts[i:i + 1], self.pts)[0]
         return self._rows[i]
@@ -146,8 +145,8 @@ class _Geom:
         bounds in turn.  Only stored distances are compared, so the value is
         the full matrix's bit for bit.
         """
-        if self._D is not None:
-            return float(np.min(np.max(self._D, axis=1)))
+        if self.D is not None:
+            return float(np.min(np.max(self.D, axis=1)))
         bound = np.zeros(self.m)
         nearest = np.full(self.m, np.inf)
         seen = np.zeros(self.m, dtype=bool)
@@ -169,6 +168,25 @@ class _Geom:
             np.maximum(bound, R.max(axis=0), out=bound)
             size = min(2 * size, _DIAMETER_BLOCK)
         return float(best)
+
+    @cached_property
+    def pool_D(self) -> np.ndarray:
+        """Distances from the candidate outer centers (the points, their
+        pairwise midpoints and, in the euclidean norm, the enclosing-ball
+        center) to the points; built on first use.  The pool is quadratic in
+        m, so only clouds within the limit use it."""
+        i, j = np.triu_indices(self.m, 1)
+        pool = [self.pts, 0.5 * (self.pts[i] + self.pts[j])]
+        if self.norm.is_euclidean:
+            pool.append(self.model.ball_center[None, :])
+        return self.norm.pairwise(np.vstack(pool), self.pts)
+
+
+def _check_radius(eps: float) -> None:
+    # `not eps > 0` also rejects NaN, which no distance is <= to, so a greedy
+    # cover at NaN would never cover its own center
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps!r}")
 
 
 def _ball_masks(D: np.ndarray, eps: float) -> list[int]:
@@ -216,16 +234,15 @@ def _greedy_cover_indices(geom: _Geom, eps: float, stop_after: int | None = None
             return centers
 
 
-def greedy_cover(K: CompactSetModel, eps: float, inner: bool = True) -> CoverResult:
+def greedy_cover(K: CompactSetModel, eps: float) -> CoverResult:
     """Deterministic greedy cover: repeatedly center on the uncovered point of
     largest norm.  Centers are always set points, so the result is valid as an
     inner or an outer cover; its cardinality upper-bounds the minimal count.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_radius(eps)
     geom = _Geom(K)
     idx = _greedy_cover_indices(geom, eps)
-    return CoverResult(eps, geom.pts[idx], inner, len(idx), exact=False)
+    return CoverResult(eps, geom.pts[idx], len(idx))
 
 
 def _greedy_packing_indices(geom: _Geom, eps: float, stop_after: int | None = None) -> list[int]:
@@ -289,17 +306,16 @@ def _max_independent_set(adj: list[int], m: int) -> list[int]:
 
 
 def _max_packing(geom: _Geom, eps: float) -> PackingResult:
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_radius(eps)
     if geom.small:
         adj = [mask & ~(1 << i) for i, mask in enumerate(_ball_masks(geom.D, eps))]
         try:
             idx = _max_independent_set(adj, geom.m)
-            return PackingResult(eps, geom.pts[idx], len(idx), True, exact=True)
+            return PackingResult(eps, geom.pts[idx], len(idx), exact=True)
         except _BudgetExhausted:
             pass
     idx = _greedy_packing_indices(geom, eps)
-    return PackingResult(eps, geom.pts[idx], len(idx), True, exact=False)
+    return PackingResult(eps, geom.pts[idx], len(idx))
 
 
 def max_packing(K: CompactSetModel, eps: float) -> PackingResult:
@@ -311,23 +327,27 @@ def max_packing(K: CompactSetModel, eps: float) -> PackingResult:
 
 
 # ---------------------------------------------------------------------------
-# exact set cover (branch and bound over a candidate-center pool)
+# cover counts
 
 
-def _bnb_set_cover(sets: list[int], universe: int, best: int):
-    """Minimum number of sets covering universe, if fewer than best (the size
-    of a known cover, or a threshold to decide).  Returns (count, complete);
-    count stays best when no smaller cover turns up."""
-    elems = [i for i in range(universe.bit_length()) if universe >> i & 1]
-    # element -> covering set indices
-    covers_of = {el: [s for s in range(len(sets)) if sets[s] >> el & 1] for el in elems}
-    if any(not v for v in covers_of.values()):
-        raise ValueError("universe element not coverable by any candidate")
+def _inner_cover_bnb(geom: _Geom, eps: float, best: int):
+    """Fewest eps-balls centred at set points, by branch and bound over the
+    ball bitmasks, if fewer than best (the size of a known cover, or a
+    threshold to decide).  Returns (count, complete); count stays best when
+    no smaller cover turns up."""
+    m = geom.m
+    # drop balls that are subsets of another (keeps the first maximal one)
+    sets: list[int] = []
+    for s in sorted(_ball_masks(geom.D, eps), key=lambda s: -s.bit_count()):
+        if not any(s & ~t == 0 for t in sets):
+            sets.append(s)
+    universe = (1 << m) - 1
+    covers_of = [[k for k in range(len(sets)) if sets[k] >> el & 1] for el in range(m)]
     # every set covering a remaining element meets the remaining elements, so
     # the most constrained remaining element is the first in (degree, index)
-    by_degree = sorted(elems, key=lambda el: (len(covers_of[el]), el))
+    by_degree = sorted(range(m), key=lambda el: (len(covers_of[el]), el))
+    max_size = max(s.bit_count() for s in sets)
     nodes = 0
-    max_size = max(s.bit_count() for s in sets) if sets else 1
 
     def rec(covered: int, count: int):
         nonlocal best, nodes
@@ -341,9 +361,8 @@ def _bnb_set_cover(sets: list[int], universe: int, best: int):
         if count + math.ceil(remaining.bit_count() / max_size) >= best:
             return
         el = next(i for i in by_degree if remaining >> i & 1)
-        cands = sorted(covers_of[el], key=lambda s: -(sets[s] & remaining).bit_count())
-        for s in cands:
-            rec(covered | sets[s], count + 1)
+        for k in sorted(covers_of[el], key=lambda k: -(sets[k] & remaining).bit_count()):
+            rec(covered | sets[k], count + 1)
 
     try:
         rec(0, 0)
@@ -370,85 +389,52 @@ def _greedy_set_cover_count(cover: np.ndarray, stop_after: int | None = None) ->
     return count
 
 
-def _outer_pool(geom: _Geom) -> np.ndarray:
-    """Candidate outer centers: points, pairwise midpoints on clouds of at
-    most EXACT_POINT_LIMIT points (the pool is quadratic), global center."""
-    pts = geom.pts
-    pool = [pts]
-    if geom.small:
-        i, j = np.triu_indices(geom.m, 1)
-        pool.append(0.5 * (pts[i] + pts[j]))
-    if geom.norm.is_euclidean:
-        pool.append(geom.model.ball_center[None, :])
-    return np.vstack(pool)
+def _cover_count(geom: _Geom, eps: float, inner: bool, stop_after: int | None = None) -> int:
+    """Size of a known eps-cover: the greedy cover's, or for an outer cover
+    of a cloud within the limit the greedy set cover's over the candidate
+    pool (`_Geom.pool_D`) when that is fewer.  With stop_after, a count above
+    it only says that the covers found need more than stop_after balls."""
+    count = len(_greedy_cover_indices(geom, eps, stop_after))
+    if inner or not geom.small or (stop_after is not None and count <= stop_after):
+        return count
+    return min(count, _greedy_set_cover_count(geom.pool_D <= eps, stop_after))
 
 
-def _prune_dominated(sets: list[int]) -> list[int]:
-    """Drop cover sets that are subsets of another (keeps the first maximal)."""
-    kept: list[int] = []
-    for s in sorted(sets, key=lambda s: -s.bit_count()):
-        if not any(s & ~t == 0 for t in kept):
-            kept.append(s)
-    return kept
+def _cover_method(geom: _Geom, inner: bool) -> str:
+    """Upper-side tag of `_cover_count`."""
+    return "greedy" if inner or not geom.small else "greedy|pool"
 
 
-def _inner_cover_bnb(geom: _Geom, eps: float, best: int):
-    """Fewest eps-balls centred at set points, by branch and bound, if fewer
-    than best.  Returns (count, complete)."""
-    return _bnb_set_cover(_prune_dominated(_ball_masks(geom.D, eps)), (1 << geom.m) - 1, best)
+def cover_number(K: CompactSetModel, eps: float, inner: bool = True) -> Bracket:
+    """Bracket on the minimal (inner) eps-covering number.
 
-
-def _min_cover(geom: _Geom, eps: float, inner: bool, search: bool) -> Bracket:
-    """Cover-count bracket: the greedy cover against a packing at doubled
-    radius, tightened by branch and bound when search is set (exact for
-    inner covers whose search completes)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    The lower side is a greedy packing at doubled radius.  Inner counts of
+    clouds with at most EXACT_POINT_LIMIT points are exact by branch and
+    bound, unless the search runs out of nodes.  Otherwise the upper side is
+    `_cover_count`: the greedy cover, or for outer covers within the limit
+    the candidate-pool greedy set cover when that is fewer (`greedy|pool`).
+    Outer counts are never flagged exact.
+    """
+    _check_radius(eps)
+    geom = _Geom(K)
     lower = max(len(_greedy_packing_indices(geom, 2 * eps)), 1)
-    upper = len(_greedy_cover_indices(geom, eps))
-    method = "greedy"
-    if search and inner:
+    upper = _cover_count(geom, eps, inner)
+    method = _cover_method(geom, inner)
+    if inner and geom.small:
         upper, complete = _inner_cover_bnb(geom, eps, upper)
         if complete:
             v = float(upper)
             return Bracket(v, v, exact=True,
                            lower_method="branch-bound", upper_method="branch-bound")
-        method = "greedy|branch-bound-partial"
-    elif search:
-        Dp = geom.norm.pairwise(_outer_pool(geom), geom.pts)
-        upper = min(upper, _greedy_set_cover_count(Dp <= eps))
-        upper, complete = _bnb_set_cover(
-            _prune_dominated(_ball_masks(Dp, eps)), (1 << geom.m) - 1, upper
-        )
-        method = "pool-branch-bound" if complete else "pool-branch-bound-partial"
+        method += "|branch-bound-partial"
     return Bracket(float(min(lower, upper)), float(upper), exact=False,
                    lower_method="packing-2eps", upper_method=method)
 
 
 def min_cover_exact(K: CompactSetModel, eps: float, inner: bool = True) -> Bracket:
-    """Bracket on the minimal eps-cover cardinality, searched at any size.
-
-    Inner covers (centers restricted to set points) are solved exactly by
-    branch-and-bound when the node budget allows.  Outer covers optimize over
-    a finite candidate pool (points, pairwise midpoints on small clouds,
-    enclosing-ball center), so the result is an upper-bound bracket and is
-    never flagged exact.
-    """
-    if K.size > 500:
-        raise ValueError("min_cover_exact supports clouds with at most 500 points")
-    return _min_cover(_Geom(K), eps, inner, search=True)
-
-
-# ---------------------------------------------------------------------------
-# count brackets at fixed radius (sandwich-suite primitives)
-
-
-def cover_number(K: CompactSetModel, eps: float, inner: bool = True) -> Bracket:
-    """Bracket on the minimal (inner) eps-covering number: `min_cover_exact`'s
-    search on clouds of at most EXACT_POINT_LIMIT points, its greedy and
-    packing fallback above."""
-    geom = _Geom(K)
-    return _min_cover(geom, eps, inner, search=geom.small)
+    """Former name of `cover_number`, kept while `perfbench/tracing.py` still
+    traces it; not exported."""
+    return cover_number(K, eps, inner)
 
 
 def packing_number(K: CompactSetModel, eps: float) -> Bracket:
@@ -511,13 +497,14 @@ def entropy_number(K: CompactSetModel, n: int, inner: bool = True) -> Bracket:
     Other inner numbers of clouds with at most EXACT_POINT_LIMIT points are
     a pairwise distance: a binary search over the sorted distinct distances,
     deciding each by a branch-and-bound cover count, returns it as an exact
-    bracket.  Otherwise, or when a count
-    runs out of nodes, the upper side bisects the greedy cover (plus, for
-    outer numbers on small clouds, the candidate-pool cover) and the lower
-    side keeps the largest radius at which a packing at doubled radius shows
-    that 2^n balls cannot suffice, both to width 1e-9.  Any inner cover is an
-    outer cover, so an outer upper side on a small cloud is at most the exact
-    inner number (tagged `inner-branch-bound` when that is lower).
+    bracket.  Otherwise, or when a count runs out of nodes, the upper side
+    bisects `_cover_count`, the rule `cover_number` uses (the greedy cover,
+    and for outer numbers within the limit the candidate-pool greedy set
+    cover), and the lower side keeps the largest radius at which a packing at
+    doubled radius shows that 2^n balls cannot suffice, both to width 1e-9.
+    Any inner cover is an outer cover, so an outer upper side within the
+    limit is at most the exact inner number (tagged `inner-branch-bound`
+    when that is lower).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -537,16 +524,8 @@ def entropy_number(K: CompactSetModel, n: int, inner: bool = True) -> Bracket:
         return Bracket(exact, exact, exact=True,
                        lower_method="branch-bound", upper_method="branch-bound")
 
-    small_outer = (not inner) and geom.small
-    pool_dists = geom.norm.pairwise(_outer_pool(geom), geom.pts) if small_outer else None
-
     def upper_feasible(eps: float) -> bool:
-        cnt = len(_greedy_cover_indices(geom, eps, stop_after=target))
-        if cnt <= target:
-            return True
-        if pool_dists is not None:
-            return _greedy_set_cover_count(pool_dists <= eps, stop_after=target) <= target
-        return False
+        return _cover_count(geom, eps, inner, stop_after=target) <= target
 
     # a single greedy ball of diameter radius always covers
     hi = hi0 if upper_feasible(hi0) else _diameter(geom.pts, geom.norm) * (1 + 1e-9) + 1e-12
@@ -558,7 +537,7 @@ def entropy_number(K: CompactSetModel, n: int, inner: bool = True) -> Bracket:
 
     start = min(_TOL, upper) * 1e-3
     lower = 0.0 if no_certificate(start) else _bisect(no_certificate, start, upper)[0]
-    upper_method = "greedy" + ("|pool" if small_outer else "")
+    upper_method = _cover_method(geom, inner)
     if geom.small and exact is None:
         upper_method += "|branch-bound-partial"
     elif exact is not None and exact < upper:
@@ -571,7 +550,7 @@ def entropy_number(K: CompactSetModel, n: int, inner: bool = True) -> Bracket:
 # sequence-family closed forms
 
 
-def ksigma_inner_entropy_exact(alpha: float, n: int) -> float:
+def ksigma_nested_cover_radius(alpha: float, n: int) -> float:
     """Nested-cover radius sqrt(s_{2^n}^2 + s_{2^n+1}^2) of the sequence family.
 
     This is the radius at which the largest-norm-first greedy cover first
@@ -607,8 +586,7 @@ def ksigma_packing_count(K: CompactSetModel, eps: float) -> int:
     """
     if not K.is_ksigma:
         raise ValueError("requires a sequence-family model")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_radius(eps)
     s = np.abs(K.sigmas())
     J = len(s)
     a = 1

@@ -439,7 +439,7 @@ def _run_ksigma_reproduce(cfg: ExperimentConfig) -> _Output:
     for n in ns:
         K = CompactSetModel.ksigma(alpha, truncation=2**n + 8)
         br = ent.entropy_number(K, n, inner=True)
-        cf = ent.ksigma_inner_entropy_exact(alpha, n)
+        cf = ent.ksigma_nested_cover_radius(alpha, n)
         _bracket_row(out, cfg, K, n, None, "inner_entropy", br, cfg.seed)
         _bracket_row(out, cfg, K, n, None, "inner_entropy_closed_form",
                      Bracket.exactly(cf, "nested-cover-formula"), cfg.seed)

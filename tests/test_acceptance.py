@@ -15,7 +15,7 @@ import pytest
 from widthlab import entropy
 from widthlab.entropy import (
     entropy_number,
-    ksigma_inner_entropy_exact,
+    ksigma_nested_cover_radius,
     max_packing,
 )
 from widthlab.harness import (
@@ -72,7 +72,7 @@ def test_acceptance_01_ksigma_entropy_reproduction():
     ok, msgs = True, []
     for n in range(1, 11):
         K = CompactSetModel.ksigma(1.0, truncation=2**n + 8)
-        cf = ksigma_inner_entropy_exact(1.0, n)
+        cf = ksigma_nested_cover_radius(1.0, n)
         br = entropy_number(K, n, inner=True)
         if not br.contains(cf, slack=K.tail_gap + 1e-9):
             ok = False
@@ -353,7 +353,7 @@ def test_acceptance_09_carl_checks():
 
 
 def test_acceptance_10_two_sided_band_and_rate():
-    e = {n: Bracket.exactly(ksigma_inner_entropy_exact(1.0, n)) for n in range(3, 13)}
+    e = {n: Bracket.exactly(ksigma_nested_cover_radius(1.0, n)) for n in range(3, 13)}
     w = {n: Bracket.exactly(sigma_value(1.0, (n - 1) * 2.0**n + 1.0)) for n in range(3, 13)}
     v = check_lower_bound_theorems(e, w, alpha=1.0, window=(3, 12), band_cap=4.0)
     ratios = [e[n].mid / w[n].mid for n in range(3, 13)]

@@ -15,13 +15,13 @@ from widthlab.entropy import (
     entropy_number,
     greedy_cover,
     ksigma_inner_entropy_attained,
-    ksigma_inner_entropy_exact,
+    ksigma_nested_cover_radius,
     ksigma_packing_count,
     max_packing,
-    min_cover_exact,
     packing_number,
 )
 from widthlab.spaces import (
+    Bracket,
     CompactSetModel,
     NormSpec,
     chebyshev_radius,
@@ -63,9 +63,9 @@ SINGLE = CompactSetModel.cloud([[0.3, -0.7]])
 
 
 def test_greedy_cover_examples():
-    assert greedy_cover(E12, 1.5, inner=True).cardinality == 1
-    assert greedy_cover(E12, 1.0, inner=True).cardinality == 2
-    assert greedy_cover(SINGLE, 0.01, inner=True).cardinality == 1
+    assert greedy_cover(E12, 1.5).cardinality == 1
+    assert greedy_cover(E12, 1.0).cardinality == 2
+    assert greedy_cover(SINGLE, 0.01).cardinality == 1
 
 
 def test_greedy_cover_validity_random():
@@ -77,10 +77,10 @@ def test_greedy_cover_validity_random():
             assert res.validate(K)
 
 
-def test_min_cover_exact_examples():
-    br = min_cover_exact(E12, 1.0, inner=True)
+def test_cover_number_examples():
+    br = cover_number(E12, 1.0, inner=True)
     assert br.exact and br.lower == br.upper == 2.0
-    br = min_cover_exact(SINGLE, 0.1, inner=True)
+    br = cover_number(SINGLE, 0.1, inner=True)
     assert br.exact and br.upper == 1.0
 
 
@@ -90,7 +90,7 @@ def test_min_cover_vs_exhaustive_random():
         pts = rng.normal(size=(rng.integers(3, 9), 2))
         K = CompactSetModel.cloud(pts)
         eps = float(rng.uniform(0.3, 1.5))
-        br = min_cover_exact(K, eps, inner=True)
+        br = cover_number(K, eps, inner=True)
         assert br.exact
         assert br.upper == exhaustive_min_cover(pts, eps)
 
@@ -99,15 +99,15 @@ def test_min_cover_ksigma_truncation():
     # at eps = 1.05 a single ball centered at the zero element covers the whole
     # truncated family (every s_j e_j has norm at most s_1 = 1 <= 1.05)
     K = CompactSetModel.ksigma(alpha=1.0, truncation=40)
-    br = min_cover_exact(K, 1.05, inner=True)
+    br = cover_number(K, 1.05, inner=True)
     pts = K.as_cloud().points
     assert br.exact
     assert br.upper == exhaustive_min_cover(pts, 1.05) == 1.0
     # the greedy largest-first cover ignores the zero hub; its 2-ball radius
     # threshold is the nested-cover closed form, which exceeds 1.05
-    assert greedy_cover(K, 1.05, inner=True).cardinality > 2
-    r2 = ksigma_inner_entropy_exact(1.0, 1)
-    assert greedy_cover(K, r2 * (1 + 1e-12), inner=True).cardinality == 2
+    assert greedy_cover(K, 1.05).cardinality > 2
+    r2 = ksigma_nested_cover_radius(1.0, 1)
+    assert greedy_cover(K, r2 * (1 + 1e-12)).cardinality == 2
 
 
 def test_max_packing_examples():
@@ -232,9 +232,9 @@ def test_innerentropy_sandwich():
 def test_ksigma_closed_forms():
     s2 = sigma_value(1.0, 2)
     s3 = sigma_value(1.0, 3)
-    assert ksigma_inner_entropy_exact(1.0, 1) == pytest.approx(math.hypot(s2, s3), rel=1e-12)
-    assert ksigma_inner_entropy_exact(1.0, 1) == pytest.approx(1.0998750446514673, abs=1e-9)
-    assert ksigma_inner_entropy_exact(1.0, 2) == pytest.approx(0.9214009130183045, abs=1e-9)
+    assert ksigma_nested_cover_radius(1.0, 1) == pytest.approx(math.hypot(s2, s3), rel=1e-12)
+    assert ksigma_nested_cover_radius(1.0, 1) == pytest.approx(1.0998750446514673, abs=1e-9)
+    assert ksigma_nested_cover_radius(1.0, 2) == pytest.approx(0.9214009130183045, abs=1e-9)
     assert sigma_value(1.0, 13) == pytest.approx(0.5, abs=1e-12)
     assert ksigma_inner_entropy_attained(1.0, 1) == pytest.approx(s2, rel=1e-12)
 
@@ -243,7 +243,7 @@ def test_ksigma_entropy_bracket_contains_closed_form():
     for n in (1, 2, 3):
         K = CompactSetModel.ksigma(1.0, truncation=2**n + 8)
         br = entropy_number(K, n, inner=True)
-        cf = ksigma_inner_entropy_exact(1.0, n)
+        cf = ksigma_nested_cover_radius(1.0, n)
         assert br.contains(cf, slack=K.tail_gap + 1e-9)
         # exact search lands on the attained (hub-cover) value
         assert br.exact
@@ -253,9 +253,9 @@ def test_ksigma_entropy_bracket_contains_closed_form():
 def test_ksigma_greedy_matches_nested_cover_radius():
     for n in (1, 2, 3, 4):
         K = CompactSetModel.ksigma(1.0, truncation=2**n + 8)
-        cf = ksigma_inner_entropy_exact(1.0, n)
-        assert greedy_cover(K, cf * (1 + 1e-12), inner=True).cardinality <= 2**n
-        assert greedy_cover(K, cf * (1 - 1e-9), inner=True).cardinality > 2**n
+        cf = ksigma_nested_cover_radius(1.0, n)
+        assert greedy_cover(K, cf * (1 + 1e-12)).cardinality <= 2**n
+        assert greedy_cover(K, cf * (1 - 1e-9)).cardinality > 2**n
 
 
 def test_ksigma_packing_formula_vs_exhaustive():
@@ -308,6 +308,96 @@ def test_inner_entropy_brackets_hold_brute_force(pts, norm):
         assert exact.exact and exact.lower == exact.upper == value
         with mock.patch.object(entropy, "EXACT_POINT_LIMIT", 0):
             assert entropy_number(K, n, inner=True).contains(value)
+
+
+def set_partitions(items):
+    """Every partition of the list items into nonempty blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield [[first]] + part
+        for k in range(len(part)):
+            yield part[:k] + [[first] + part[k]] + part[k + 1:]
+
+
+def max_block_radius(P):
+    """Chebyshev radius of a planar block in the max norm: half the largest
+    coordinate range."""
+    return 0.5 * float(np.max(np.ptp(P, axis=0)))
+
+
+def euclidean_block_radius(P):
+    """Radius of the smallest enclosing circle of a planar block: the least
+    circle through two or three of its points that contains the block."""
+    if len(P) == 1:
+        return 0.0
+    circles = [(0.5 * (a + b), 0.5 * math.dist(a, b)) for a, b in itertools.combinations(P, 2)]
+    for a, b, c in itertools.combinations(P, 3):
+        d = 2 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
+        if d == 0:
+            continue
+        aa, bb, cc = a @ a, b @ b, c @ c
+        center = np.array([aa * (b[1] - c[1]) + bb * (c[1] - a[1]) + cc * (a[1] - b[1]),
+                           aa * (c[0] - b[0]) + bb * (a[0] - c[0]) + cc * (b[0] - a[0])]) / d
+        circles.append((center, math.dist(center, a)))
+    return min(r for center, r in circles
+               if np.all(np.linalg.norm(P - center, axis=1) <= r * (1 + 1e-12) + 1e-12))
+
+
+BLOCK_RADIUS = {"max": max_block_radius, "euclidean": euclidean_block_radius}
+
+
+def brute_outer(P, block_radius, eps):
+    """Fewest outer eps-balls covering P at each radius of eps, and the outer
+    e_1 and e_2: minima over the set partitions of P, a block costing its
+    Chebyshev radius."""
+    radius = {}
+    counts = {e: len(P) for e in eps}
+    entropy_values = {1: math.inf, 2: math.inf}
+    for part in set_partitions(list(range(len(P)))):
+        worst = max(radius.setdefault(tuple(sorted(b)), block_radius(P[sorted(b)])) for b in part)
+        for e in eps:
+            if worst <= e:
+                counts[e] = min(counts[e], len(part))
+        for n in entropy_values:
+            if len(part) <= 2**n:
+                entropy_values[n] = min(entropy_values[n], worst)
+    return counts, entropy_values
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.floats(-4, 4), st.floats(-4, 4)), min_size=1, max_size=7),
+    st.sampled_from(sorted(BLOCK_RADIUS)),
+    st.floats(0.05, 5),
+)
+def test_outer_brackets_hold_brute_force(pts, kind, eps):
+    K = CompactSetModel.cloud(pts, NormSpec(kind, 2))
+    # the count at eps(1 -+ 1e-9) bounds the one at eps whatever the rounding
+    lo, hi = eps * (1 - 1e-9), eps * (1 + 1e-9)
+    counts, values = brute_outer(K.points, BLOCK_RADIUS[kind], (lo, hi))
+    br = cover_number(K, eps, inner=False)
+    assert not br.exact and br.lower <= counts[lo] and br.upper >= counts[hi]
+    for n, value in values.items():
+        assert entropy_number(K, n, inner=False).contains(value, slack=1e-9 * max(1.0, value))
+
+
+def test_nan_radius_is_rejected():
+    K = CompactSetModel.cloud(np.random.default_rng(2).normal(size=(10, 2)))
+    seq = CompactSetModel.ksigma(1.0, 8)
+    calls = [lambda: greedy_cover(K, math.nan), lambda: max_packing(K, math.nan),
+             lambda: cover_number(K, math.nan), lambda: cover_number(K, math.nan, inner=False),
+             lambda: packing_number(K, math.nan), lambda: packing_number(seq, math.nan),
+             lambda: greedy_cover(K, -1.0), lambda: packing_number(K, 0.0)]
+    for call in calls:
+        with pytest.raises(ValueError, match="eps must be positive"):
+            call()
+    # an infinite radius is a radius: one ball covers, one point packs
+    assert greedy_cover(K, math.inf).cardinality == 1
+    assert cover_number(K, math.inf) == Bracket.exactly(1.0, "branch-bound")
+    assert packing_number(K, math.inf).upper == max_packing(K, math.inf).cardinality == 1
 
 
 def test_ball_masks_match_loop():
@@ -413,13 +503,6 @@ def test_cover_and_packing_build_one_distance_matrix(pairwise_shapes):
             assert pairwise_shapes == [(m, m)]
 
 
-def test_min_cover_exact_fails_before_distances(pairwise_shapes):
-    K = CompactSetModel.cloud(np.random.default_rng(0).normal(size=(501, 2)))
-    with pytest.raises(ValueError, match="at most 500 points"):
-        min_cover_exact(K, 0.5)
-    assert pairwise_shapes == []
-
-
 # ---------------------------------------------------------------------------
 # distance rows on demand above the exact limit
 
@@ -470,7 +553,7 @@ def test_pruned_one_center_radius_is_the_full_matrix_minimum(kind, shape, m, see
     assert entropy._Geom(K).one_center_radius() == expected
     with mock.patch.object(entropy, "EXACT_POINT_LIMIT", 1):
         geom = entropy._Geom(K)
-        assert geom._D is None and geom.one_center_radius() == expected
+        assert geom.D is None and geom.one_center_radius() == expected
 
 
 def all_results(K):
@@ -479,11 +562,9 @@ def all_results(K):
     out = [entropy_number(K, n, inner=inner) for n in range(4) for inner in (True, False)]
     for eps in (0.15 * r, 0.5 * r):
         cov, pk = greedy_cover(K, eps), max_packing(K, eps)
-        out += [cover_number(K, eps), packing_number(K, eps),
+        out += [cover_number(K, eps), cover_number(K, eps, inner=False), packing_number(K, eps),
                 (cov.cardinality, cov.centers.tobytes()),
                 (pk.cardinality, pk.exact, pk.points.tobytes())]
-        if K.size <= 500:
-            out += [min_cover_exact(K, eps), min_cover_exact(K, eps, inner=False)]
     return out
 
 
@@ -623,7 +704,7 @@ def test_exhausted_budget_gives_sound_partial_brackets(monkeypatch):
     assert not br.exact and br.upper_method == "greedy|branch-bound-partial"
     assert br.contains(cover)
     br = cover_number(K, eps, inner=False)
-    assert not br.exact and br.upper_method == "pool-branch-bound-partial"
+    assert not br.exact and br.upper_method == "greedy|pool"
     assert br.lower <= cover
     br = packing_number(K, eps)
     assert not br.exact and br.lower_method == "greedy-packing|exhaustive-partial"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from widthlab.entropy import ksigma_inner_entropy_exact
+from widthlab.entropy import ksigma_nested_cover_radius
 from widthlab.harness import (
     HOLDS,
     INDETERMINATE,
@@ -179,7 +179,7 @@ def test_fit_rate_exact_recovery():
 
 
 def test_fit_rate_ksigma_formula_window():
-    series = {n: Bracket.exactly(ksigma_inner_entropy_exact(1.0, n)) for n in range(1, 13)}
+    series = {n: Bracket.exactly(ksigma_nested_cover_radius(1.0, n)) for n in range(1, 13)}
     fit = fit_rate(series, "log-only", (3, 12))
     assert 0.85 <= fit.params["alpha"] <= 1.15
 

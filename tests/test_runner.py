@@ -108,6 +108,17 @@ def test_runtime_error_names_experiment(tmp_path, capsys, jobs):
     assert re.sub(r"line \d+", "line N", err) == re.sub(r"line \d+", "line N", serial)
 
 
+def test_nan_radius_names_the_section(tmp_path, capsys):
+    # a greedy cover at a NaN radius never covers its own center
+    p = tmp_path / "nan.cfg"
+    p.write_text("[nan-eps]\nkind = entropy\nset = cloud\ncloud_points = 6\ncloud_dim = 2\n"
+                 "n_values = 1\neps_values = nan\nseed = 3\n")
+    assert run(p, out_dir=tmp_path / "out", quiet=True) == 1
+    err = capsys.readouterr().err
+    assert "runtime error in experiment [nan-eps]" in err
+    assert "eps must be positive, got nan" in err
+
+
 def test_config_error_in_a_worker(tmp_path, capsys):
     p = tmp_path / "bad.cfg"
     p.write_text("[fine]\nkind = ksigma-reproduce\nn_values = 1,2,3\n\n"
