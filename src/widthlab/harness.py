@@ -238,8 +238,9 @@ def check_width_chain(K: CompactSetModel, n: int, N: int, seed: int = 0,
     """Builds the bump-system map from the N-subspace witness and verifies
     that its fixed-width upper bound does not exceed the width upper bound
     (the chart anchors realize every assignment distance).  On non-euclidean
-    clouds the fixed-width side is a descent heuristic, so an excess is
-    indeterminate rather than a violation."""
+    clouds an excess is indeterminate rather than a violation: there the
+    anchors rest on LP and L-BFGS tolerances, sampled l_p charts and radial
+    pulls (``fixed_width_upper``)."""
     cloud = K.as_cloud()
     s = sup_norm(cloud)
     window = (n, N)
@@ -261,8 +262,8 @@ def check_width_chain(K: CompactSetModel, n: int, N: int, seed: int = 0,
     if fw <= target + tol:
         return Verdict("width-chain", HOLDS, fw * s, window, details)
     if not euclid:
-        # the fixed width is a descent's upper bound here, so its excess
-        # over the witness's exact distances proves nothing
+        # the anchors here are solver and sampled-chart approximations, so
+        # an excess over the witness's distances proves nothing
         return Verdict("width-chain", INDETERMINATE, fw * s, window, details)
     return Verdict("width-chain", VIOLATED, fw * s, window, details)
 

@@ -13,6 +13,12 @@ For non-euclidean ambient norms the isometry charts are replaced by
 John-ellipsoid charts scaled by M (sqrt(n), or n^|1/2-1/p| for l_p), the
 output dilated by 2 to reach approximants of norm up to 2; claimed
 constants 2M(N+1) and 6M.
+
+The fixed width of a map, the largest distance from a set point to its
+image, is read at chart anchors: the nearest point of each chart's span in
+the ambient norm, pulled radially into the domain ball.  It is exact on
+euclidean isometry charts, wherever no pull is needed, and on the max-norm
+John charts of a set of sup-norm at most 1; otherwise an upper bound.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .spaces import CompactSetModel, NormSpec, _away_step_simplex, _symmetric_facets
+from .widths import _nearest_coords
 
 __all__ = [
     "HatSystem",
@@ -305,18 +312,36 @@ class LipschitzMapSpec:
         return self.bumps.centers[j]
 
     def anchor(self, f: np.ndarray, j: int) -> np.ndarray:
-        """Domain point whose image is the chart-j approximant of f (clipped
-        into the ball)."""
-        f = np.asarray(f, dtype=float)
+        """Domain point whose image is the chart-j anchor of f (see
+        ``_anchors``)."""
+        return self._anchors(np.asarray(f, dtype=float)[None, :], j)[0]
+
+    def _anchors(self, F: np.ndarray, j: int) -> np.ndarray:
+        """Domain points, one per row of F, at chart j's peak: the
+        coordinates of the nearest point of span(s * A_j), s = outer_coef *
+        scale, in the ambient norm (least squares for the euclidean norm, one
+        ``widths._nearest_coords`` solve for all rows otherwise), pulled
+        radially into the unit ball.
+        The anchor's image is the nearest point of s * A_j(B_2) when no pull
+        is needed, and on euclidean isometry charts, where
+        |f - sUy|^2 = |f - UU^T f|^2 + |U^T f - sy|^2."""
+        F = np.asarray(F, dtype=float)
+        d = self.charts[j].shape[0]
+        if F.shape[1] != d:
+            raise ValueError(f"set points have dimension {F.shape[1]}, "
+                             f"the map's image has dimension {d}")
         A = self.charts[j] * (self.outer_coef * self.scale)
         if not np.any(np.abs(A) > 0):
-            x = np.zeros(self.n)
+            X = np.zeros((len(F), self.n))
+        elif self.ambient.is_euclidean:
+            X = np.array([np.linalg.lstsq(A, f, rcond=None)[0] for f in F])
         else:
-            x, *_ = np.linalg.lstsq(A, f, rcond=None)
+            X = _nearest_coords(F, A, self.ambient)
+        for x in X:
             nx = float(np.linalg.norm(x))
             if nx > 1.0:
-                x = x / nx
-        return np.concatenate([x, self.peak_coordinate(j)])
+                x /= nx
+        return np.hstack([X, np.tile(self.peak_coordinate(j), (len(F), 1))])
 
     def scaled(self, t: float) -> "LipschitzMapSpec":
         """Output dilation by t (the claimed constant scales with |t|)."""
@@ -513,105 +538,24 @@ def estimate_lipschitz(spec: LipschitzMapSpec, pairs: int = 100_000, seed: int =
 
 
 # ---------------------------------------------------------------------------
-# fixed-width upper bounds
+# fixed widths
 
 
-_GOLDEN = (math.sqrt(5) - 1) / 2
+def fixed_width_upper(K: CompactSetModel, spec: LipschitzMapSpec) -> float:
+    """The largest, over set points f, of the least distance from f to a
+    chart anchor's image (``LipschitzMapSpec._anchors``), in the ambient norm.
 
-
-def _residual_norms(spec: LipschitzMapSpec, F: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """|f_i - spec(z_i)| in the ambient norm for the rows of F and Z, each
-    bitwise as one-row ``evaluate`` and a 1-d ``norm`` give it: the chart
-    products are a stack of single-row products, the euclidean norm a stack
-    of dot products, and the max and l_p norms are ``norm``'s, whose rows
-    round as its 1-d path does."""
-    x = Z[:, : spec.n]
-    j, w = spec._chart_weights(Z)
-    out = np.zeros(F.shape)
-    for jj in np.unique(j):
-        mask = j == jj
-        out[mask] = w[mask, None] * (x[mask][:, None, :] @ spec.charts[jj].T)[:, 0]
-    R = F - out * (spec.outer_coef * spec.scale)
-    if spec.ambient.kind == "euclidean":
-        return np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
-    return spec.ambient.norm(R)
-
-
-def _golden_descents(spec: LipschitzMapSpec, F: np.ndarray, Z: np.ndarray,
-                     line_searches: int) -> np.ndarray:
-    """Golden-section coordinate descents of |f_i - spec(z)| from each start
-    z_i in the domain ball, all in lockstep; returns each row's best value.
-
-    Line search t runs on coordinate t mod domain_dim for every running row
-    at once, 2 + 40 golden steps, each one batched ``_residual_norms`` call;
-    a row keeps the step's result only when it improves by more than 1e-15.
-    A row stops after a full sweep that improved it by less than 1e-12.
-    Every row follows bitwise the sequence it would follow alone.
-    """
-    Z = Z.copy()
-    n, D = spec.n, spec.domain_dim
-    best = _residual_norms(spec, F, Z)
-    improved = np.zeros(len(Z))
-    run = np.arange(len(Z))
-    for t in range(line_searches):
-        k = t % D
-        if k == 0 and t:
-            run = run[~(improved[run] < 1e-12)]
-            improved[:] = 0.0
-            if not len(run):
-                break
-        Zr, Fr = Z[run], F[run]
-        if k < n:
-            # z_k^2 by scalar pow, which can differ from the array square by an ulp
-            others = np.sum(Zr[:, :n] ** 2, axis=1) - np.array([v ** 2 for v in Zr[:, k]])
-            b = np.sqrt(np.maximum(0.0, 1.0 - others))
-            a = -b
-        else:
-            a, b = np.full(len(run), -1.0), np.full(len(run), 1.0)
-
-        def at(c):
-            Zr[:, k] = c
-            return _residual_norms(spec, Fr, Zr)
-
-        zk = Z[run, k]
-        c1, c2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-        f1, f2 = at(c1), at(c2)
-        for _ in range(40):
-            le = f1 <= f2
-            a, b = np.where(le, a, c1), np.where(le, c2, b)
-            c = np.where(le, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
-            f = at(c)
-            c1, c2 = np.where(le, c, c2), np.where(le, c1, c)
-            f1, f2 = np.where(le, f, f2), np.where(le, f1, f)
-        cand = np.where(f2 < f1, f2, f1)
-        ok = cand < best[run] - 1e-15
-        improved[run[ok]] += best[run[ok]] - cand[ok]
-        best[run[ok]] = cand[ok]
-        Z[run, k] = np.where(ok, np.where(f1 <= f2, c1, c2), zk)
-    return best
-
-
-def fixed_width_upper(K: CompactSetModel, spec: LipschitzMapSpec,
-                      line_searches: int = 200) -> float:
-    """sup over set points of the (locally optimized) distance to the map
-    image: each point starts from its best chart anchor, then the
-    golden-section coordinate descents of all points run in lockstep in the
-    domain ball (``_golden_descents``), at most 1 + 42 * line_searches
-    batched evaluations whatever the number of points.  An upper bound on
-    the fixed-width of the map."""
-    cloud = K.as_cloud()
-    starts, anchored = [], []
-    for f in cloud.points:
-        best_val, best_z = math.inf, None
-        for j in range(len(spec.charts)):
-            z = spec.anchor(f, j)
-            v = float(np.asarray(spec.ambient.norm(f - spec.evaluate(z)[0])))
-            if v < best_val:
-                best_val, best_z = v, z
-        starts.append(best_z)
-        anchored.append(best_val)
-    descended = _golden_descents(spec, cloud.points, np.array(starts), line_searches)
-    worst = 0.0
-    for v, a in zip(descended.tolist(), anchored):
-        worst = max(worst, min(v, a))
-    return worst
+    Each hat or bump weight sweeps [0, 1], so the map's image is the union
+    over charts j of s * A_j(B_2), s = outer_coef * scale, and a point's
+    distance to it is the least over charts of its distance to one of them.
+    The value is the fixed width of the map when every anchor is the nearest
+    point of its chart's image: on euclidean isometry charts, on any chart
+    whose anchor needs no radial pull, and on the max-norm John charts of a
+    set of sup-norm at most 1 (John's theorem puts every nearest point of
+    the span inside the image).  Otherwise it is an upper bound on it."""
+    F = K.as_cloud().points
+    best = np.full(len(F), math.inf)
+    for j in range(len(spec.charts)):
+        for i, z in enumerate(spec._anchors(F, j)):
+            best[i] = min(best[i], float(spec.ambient.norm(F[i] - spec.evaluate(z)[0])))
+    return float(np.max(best, initial=0.0))

@@ -317,6 +317,15 @@ def _ksigma_series(cfg: ExperimentConfig, window):
     return alpha, e, d
 
 
+def _log_only_plot(series: dict, window: tuple[int, int]) -> tuple[str, np.ndarray]:
+    """A plot of a bracket series: the header of its log-only rate fit over
+    window, and its (index, midpoint) rows."""
+    fit = harness.fit_rate(series, "log-only", window)
+    xs = np.array([[k, series[k].mid] for k in sorted(series)])
+    return (f"# fit: log-only C/(log2 n)^alpha: C={fit.params['C']:.9g}, "
+            f"alpha={fit.params['alpha']:.9g}, residual={fit.residual:.3e}", xs)
+
+
 def _run_carl(cfg: ExperimentConfig) -> _Output:
     out = _Output()
     window = _parse_window(cfg.options.get("window", "1,12"))
@@ -364,13 +373,7 @@ def _run_carl(cfg: ExperimentConfig) -> _Output:
     # rate fit of the entropy-scale series for plot output
     fit_window = (max(3, window[0]), window[1])
     series = {k: e[k] for k in range(fit_window[0], fit_window[1] + 1)}
-    fit = harness.fit_rate(series, "log-only", fit_window)
-    xs = np.array([[k, series[k].mid] for k in sorted(series)])
-    out.plots[f"{cfg.exp_id}_entropy_series.dat"] = (
-        f"# fit: log-only C/(log2 n)^alpha: C={fit.params['C']:.9g}, "
-        f"alpha={fit.params['alpha']:.9g}, residual={fit.residual:.3e}",
-        xs,
-    )
+    out.plots[f"{cfg.exp_id}_entropy_series.dat"] = _log_only_plot(series, fit_window)
     return out
 
 
@@ -452,13 +455,7 @@ def _run_ksigma_reproduce(cfg: ExperimentConfig) -> _Output:
     window = _parse_window(cfg.options.get("window", f"{max(3, min(ns))},{max(ns)}"))
     usable = {n: series[n] for n in series if window[0] <= n <= window[1]}
     if len(usable) >= 4:
-        fit = harness.fit_rate(usable, "log-only", window)
-        xs = np.array([[n, usable[n].mid] for n in sorted(usable)])
-        out.plots[f"{cfg.exp_id}_closed_form.dat"] = (
-            f"# fit: log-only C/(log2 n)^alpha: C={fit.params['C']:.9g}, "
-            f"alpha={fit.params['alpha']:.9g}, residual={fit.residual:.3e}",
-            xs,
-        )
+        out.plots[f"{cfg.exp_id}_closed_form.dat"] = _log_only_plot(usable, window)
     return out
 
 

@@ -207,13 +207,13 @@ def test_acceptance_04_homogeneity():
     frames = _ortho_frames(3, [1, 1], 40)
     spec = build_phi(frames)
     Kf = CompactSetModel.cloud(rng.normal(size=(6, 3)) * 0.4)
-    fw = fixed_width_upper(Kf, spec, line_searches=60)
+    fw = fixed_width_upper(Kf, spec)
     ok = True
     details = []
     for t in (0.5, 2.0, -3.0):
         lw_t = linear_width(scale_set(K, t), 2, seed=4)
         nw_t = nonlinear_width(scale_set(K, t), 1, 2, seed=4)
-        fw_t = fixed_width_upper(scale_set(Kf, t), spec.scaled(t), line_searches=60)
+        fw_t = fixed_width_upper(scale_set(Kf, t), spec.scaled(t))
         for got, want, tag in (
             (lw_t.bracket.upper, abs(t) * lw.bracket.upper, "lw.upper"),
             (lw_t.bracket.lower, abs(t) * lw.bracket.lower, "lw.lower"),

@@ -116,13 +116,46 @@ def test_width_chain_max_norm():
 
 
 @pytest.mark.parametrize("seed", [205, 210])
-def test_width_chain_max_norm_excess_is_indeterminate(seed):
-    # both sides are descent upper bounds off the euclidean path, and here
-    # the fixed-width bound exceeds the width bound
+def test_width_chain_max_norm_excess_is_indeterminate(monkeypatch, seed):
+    # off the euclidean norm the anchors rest on solver tolerances, so an
+    # excess proves nothing; on it, an excess is a violation
+    from widthlab import harness
+
+    monkeypatch.setattr(harness, "fixed_width_upper", lambda K, spec: 10.0)
     pts = np.random.default_rng(seed).normal(size=(12, 3))
     v = check_width_chain(CompactSetModel.cloud(pts, NormSpec("max", 3)), 1, 2)
     assert v.status == INDETERMINATE
     assert v.witness is not None
+    assert check_width_chain(CompactSetModel.cloud(pts), 1, 2).status == VIOLATED
+
+
+@pytest.mark.parametrize("norm", [NormSpec("max", 3), NormSpec("pnorm", 3, p=1.0)],
+                         ids=["max", "l1"])
+def test_width_chain_holds_on_random_max_and_l1_clouds(monkeypatch, norm):
+    # the fixed width is read at exact anchors here, so it stays at most the
+    # witness's largest distance (seeds 205 and 210 exceeded it under the
+    # golden-section descents)
+    from widthlab import harness
+
+    seen = {}
+
+    def fixed_width(K, spec):
+        seen["K"], seen["fw"] = K, inner_fixed_width(K, spec)
+        return seen["fw"]
+
+    def width(*args, **kwargs):
+        seen["wr"] = inner_width(*args, **kwargs)
+        return seen["wr"]
+
+    inner_fixed_width, inner_width = harness.fixed_width_upper, harness.nonlinear_width
+    monkeypatch.setattr(harness, "fixed_width_upper", fixed_width)
+    monkeypatch.setattr(harness, "nonlinear_width", width)
+    rngs = [np.random.default_rng(s) for s in (205, 210)]
+    rngs += [np.random.default_rng([s, 315]) for s in range(20)]
+    for rng in rngs:
+        v = check_width_chain(CompactSetModel.cloud(rng.normal(size=(12, 3)), norm), 1, 2)
+        assert v.status == HOLDS, v.details
+        assert seen["fw"] <= float(seen["wr"].witness.distances(seen["K"]).max()) + 1e-9
 
 
 def test_entropy_from_width_trivial_and_small():

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from widthlab.lipschitz import (
     CubeBumpSystem,
@@ -18,6 +20,7 @@ from widthlab.lipschitz import (
     john_sandwich_sampled,
 )
 from widthlab.spaces import CompactSetModel, NormSpec, scale_set
+from widthlab.widths import dist_to_subspace
 
 
 def spans(*cols):
@@ -232,9 +235,9 @@ def test_fixed_width_homogeneity():
     Q, _ = np.linalg.qr(rng.normal(size=(3, 2)))
     spec = build_phi([Q[:, [0]], Q[:, [1]]])
     K = CompactSetModel.cloud(rng.normal(size=(6, 3)) * 0.4)
-    base = fixed_width_upper(K, spec, line_searches=60)
+    base = fixed_width_upper(K, spec)
     for t in (0.5, 2.0, -3.0):
-        val = fixed_width_upper(scale_set(K, t), spec.scaled(t), line_searches=60)
+        val = fixed_width_upper(scale_set(K, t), spec.scaled(t))
         assert val == pytest.approx(abs(t) * base, rel=1e-9, abs=1e-12)
     est = estimate_lipschitz(spec, pairs=5000, seed=3)
     for t in (0.5, 2.0, -3.0):
@@ -244,74 +247,23 @@ def test_fixed_width_homogeneity():
 
 
 # ---------------------------------------------------------------------------
-# lockstep fixed-width descents against the per-point reference
+# fixed widths from chart anchors
 
 
-def _reference_descent(spec, f, z0, line_searches):
-    """Golden-section coordinate descent of one point, one one-row
-    evaluation at a time: the sequence every lockstep row must follow."""
-    z = z0.copy()
-
-    def val(zz):
-        return float(np.asarray(spec.ambient.norm(f - spec.evaluate(zz)[0])))
-
-    best = val(z)
-    used = 0
-    n = spec.n
-    while used < line_searches:
-        improved = 0.0
-        for k in range(spec.domain_dim):
-            if used >= line_searches:
-                break
-            used += 1
-            if k < n:
-                others = float(np.sum(z[:n] ** 2) - z[k] ** 2)
-                r = math.sqrt(max(0.0, 1.0 - others))
-                a, b = -r, r
+def _chart_distances(F, spec):
+    """The distance from each row of F to the nearest chart span of spec, in
+    its ambient norm, one point at a time: a lower bound on the distance to
+    the map's image, which every chart image lies in."""
+    out = []
+    for f in F:
+        ds = []
+        for A in spec.charts:
+            if not np.any(A):
+                ds.append(float(spec.ambient.norm(f)))
             else:
-                a, b = -1.0, 1.0
-            phi = (math.sqrt(5) - 1) / 2
-            c1, c2 = b - phi * (b - a), a + phi * (b - a)
-            zk = z[k]
-            z[k] = c1
-            f1 = val(z)
-            z[k] = c2
-            f2 = val(z)
-            for _ in range(40):
-                if f1 <= f2:
-                    b, c2, f2 = c2, c1, f1
-                    c1 = b - phi * (b - a)
-                    z[k] = c1
-                    f1 = val(z)
-                else:
-                    a, c1, f1 = c1, c2, f2
-                    c2 = a + phi * (b - a)
-                    z[k] = c2
-                    f2 = val(z)
-            z[k] = c1 if f1 <= f2 else c2
-            cand = min(f1, f2)
-            if cand < best - 1e-15:
-                improved += best - cand
-                best = cand
-            else:
-                z[k] = zk
-        if improved < 1e-12:
-            break
-    return best
-
-
-def _reference_fixed_width(K, spec, line_searches):
-    """fixed_width_upper one point at a time: best anchor, then its descent."""
-    worst = 0.0
-    for f in K.as_cloud().points:
-        best_val, best_z = math.inf, None
-        for j in range(len(spec.charts)):
-            z = spec.anchor(f, j)
-            v = float(np.asarray(spec.ambient.norm(f - spec.evaluate(z)[0])))
-            if v < best_val:
-                best_val, best_z = v, z
-        worst = max(worst, min(_reference_descent(spec, f, best_z, line_searches), best_val))
-    return worst
+                ds.append(dist_to_subspace(f, np.linalg.qr(A)[0], spec.ambient))
+        out.append(min(ds))
+    return np.array(out)
 
 
 def _fitted_specs(n):
@@ -332,17 +284,20 @@ def _fitted_specs(n):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("line_searches", [60, 200])
-def test_lockstep_descents_match_per_point_descents(n, line_searches):
+def test_fixed_width_is_the_largest_chart_span_distance(n):
+    # the cloud lies in the euclidean unit ball, so every anchor of these
+    # maps is the nearest point of its chart's span: no pull is needed
     K, specs = _fitted_specs(n)
+    F = K.as_cloud().points
     for spec in specs:
-        got = fixed_width_upper(K, spec, line_searches=line_searches)
-        assert got == _reference_fixed_width(K, spec, line_searches), (spec.kind, spec.ambient)
+        want = float(_chart_distances(F, spec).max())
+        assert fixed_width_upper(K, spec) == pytest.approx(want, rel=1e-12), (
+            spec.kind, spec.ambient)
 
 
 # the charts of build_theta_xi(bases, NormSpec("pnorm", 4, p=1.5))[1] for the
 # family nonlinear_width(K, 2, 3, seed=2, restarts=4) fits to the cloud of
-# test_lockstep_descents_take_each_pnorm_root_as_a_scalar, written out
+# test_fixed_width_on_sampled_l15_john_charts, written out
 # because their three John solves take about 70 s
 _XI_L15_CHARTS = [
     [["-0x1.0316b2f5a287ep-2", "0x1.cee54fc024994p-2"],
@@ -360,9 +315,7 @@ _XI_L15_CHARTS = [
 ]
 
 
-def test_lockstep_descents_take_each_pnorm_root_as_a_scalar():
-    # an array ** (1/p) rounds 321 of this case's 8,577 row evaluations
-    # differently from the scalar root (numpy 2.4.6)
+def test_fixed_width_on_sampled_l15_john_charts():
     rng = np.random.default_rng([2, 6])
     m, d, N = int(rng.integers(8, 16)), int(rng.integers(3, 5)), int(rng.integers(2, 4))
     assert (m, d, N) == (9, 4, 3)
@@ -373,27 +326,59 @@ def test_lockstep_descents_take_each_pnorm_root_as_a_scalar():
                           bumps=CubeBumpSystem(2), ambient=NormSpec("pnorm", 4, p=1.5),
                           gamma=6.734772289856238, outer_coef=2.0, chart_factor=1.122462048309373)
     got = fixed_width_upper(K, xi)
-    assert got == _reference_fixed_width(K, xi, 200)
-    assert f"{got:.15f}" == "0.091896748684701"
+    # 200 golden-section coordinate descents from the least-squares anchors
+    # read 0.091896748684701 here
+    assert got <= 0.091896748684701
+    assert got == pytest.approx(float(_chart_distances(K.as_cloud().points, xi).max()),
+                                rel=1e-12)
 
 
-def test_lockstep_descents_batch_every_point(monkeypatch):
-    from widthlab import lipschitz
+def test_fixed_width_and_anchor_reject_a_dimension_mismatch():
+    spec = build_phi(spans(0, 1))
+    with pytest.raises(ValueError, match="dimension 2.*dimension 3"):
+        fixed_width_upper(CompactSetModel.cloud(np.ones((2, 2))), spec)
+    with pytest.raises(ValueError, match="dimension 2.*dimension 3"):
+        spec.anchor(np.ones(2), 0)
 
-    calls = []
-    inner = lipschitz._residual_norms
 
-    def counted(spec, F, Z):
-        calls.append(len(Z))
-        return inner(spec, F, Z)
+def _unit_cloud(seed, m, d):
+    P = np.random.default_rng(seed).normal(size=(m, d))
+    return P / np.linalg.norm(P, axis=1).max()
 
-    monkeypatch.setattr(lipschitz, "_residual_norms", counted)
-    rng = np.random.default_rng(89)
-    Q, _ = np.linalg.qr(rng.normal(size=(3, 2)))
-    spec = build_phi([Q[:, [0]], Q[:, [1]]])
-    for m in (3, 40):
-        calls.clear()
-        fixed_width_upper(CompactSetModel.cloud(rng.normal(size=(m, 3)) * 0.4), spec,
-                          line_searches=12)
-        assert 0 < len(calls) <= 1 + 42 * 12
-        assert calls[0] == m
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 10), st.integers(2, 5), st.integers(1, 4),
+       st.sampled_from([0.5, 1.0, 3.0]), st.sampled_from([build_phi, build_psi]))
+def test_euclidean_fixed_width_is_exact(seed, m, d, N, t, build):
+    # for an isometry chart U and s = 1, the distance from f to U(B_2) is
+    # sqrt(|f - UU^T f|^2 + max(0, |U^T f| - 1)^2); t = 3 makes many
+    # anchors need the radial pull
+    rng = np.random.default_rng([seed, 1])
+    n = int(rng.integers(1, d))
+    spec = build([np.linalg.qr(rng.normal(size=(d, n)))[0] for _ in range(N)])
+    F = t * _unit_cloud(seed, m, d)
+    want = max(
+        min(math.sqrt(float(np.sum((f - U @ (U.T @ f)) ** 2))
+                      + max(0.0, float(np.linalg.norm(U.T @ f)) - 1.0) ** 2)
+            for U in spec.charts)
+        for f in F)
+    assert fixed_width_upper(CompactSetModel.cloud(F), spec) == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(2, 4), st.integers(2, 3))
+@example(205, 12, 3, 2)  # the max-norm width chains that 200 golden-section
+@example(210, 12, 3, 2)  # descents left above the witness distance
+def test_max_norm_fixed_width_is_below_sampled_distances(seed, m, d, N):
+    # the set and family of check_width_chain(cloud in the max norm, 1, N)
+    from widthlab.lipschitz import _sample_domain
+    from widthlab.widths import nonlinear_width
+
+    P = np.random.default_rng(seed).normal(size=(m, d))
+    P /= np.abs(P).max()
+    bases = nonlinear_width(CompactSetModel.cloud(P), 1, N).witness.bases
+    xi = build_theta_xi(bases, NormSpec("max", d))[1]
+    images = xi.evaluate(_sample_domain(xi, np.random.default_rng(seed), 2000))
+    for f in P:
+        got = fixed_width_upper(CompactSetModel.cloud([f], NormSpec("max", d)), xi)
+        assert got <= float(np.min(xi.ambient.norm(f - images))) + 1e-9
