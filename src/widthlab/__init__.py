@@ -37,7 +37,6 @@ from .harness import (
 from .lipschitz import (
     CubeBumpSystem,
     HatSystem,
-    IsometryChart,
     JohnMap,
     LipschitzMapSpec,
     build_phi,

@@ -1,18 +1,15 @@
 """Explicit Lipschitz mappings whose images approximate a compact set.
 
-Two domain geometries are used, both products with the euclidean unit ball
-B_2(R^n) and normed by the max of the factor norms:
-
-* hat maps: one extra interval coordinate carrying N piecewise-linear hats
-  of slope N (one per subinterval of [-1,1]); claimed constant N+1;
-* cube-bump maps: ell = ceil(log2 N) extra coordinates carrying 2^ell
-  bump functions of slope 2 on the unit subcubes of [-1,1]^ell; claimed
-  constant 3 independent of N.
-
-For non-euclidean ambient norms the isometry charts are replaced by
-John-ellipsoid charts scaled by M (sqrt(n), or n^|1/2-1/p| for l_p), the
-output dilated by 2 to reach approximants of norm up to 2; claimed
-constants 2M(N+1) and 6M.
+One map type, ``LipschitzMapSpec``: (x, y), x in the euclidean unit ball
+B_2(R^n) and y in a cube, normed by the max of the factor norms, goes to
+coef * w_j(y) * A_j x, with j the cell of y and w a partition of unity over
+N charts A_j: N hats of slope N on one interval coordinate, or 2^ell bumps
+of slope 2 on the unit subcubes of [-1,1]^ell, ell = ceil(log2 N), the
+charts zero-padded to 2^ell.  The claimed Lipschitz constant is
+coef * M * (slope + 1), M bounding the chart norms.  Euclidean isometry
+charts give phi and psi (coef 1, M 1: N+1 and 3); other ambient norms take
+John-ellipsoid charts scaled by M (sqrt(n), or n^|1/2-1/p| for l_p), and
+coef 2 reaches approximants of norm up to 2: theta and xi (2M(N+1), 6M).
 
 The fixed width of a map, the largest distance from a set point to its
 image, is read at chart anchors: the nearest point of each chart's span in
@@ -35,7 +32,6 @@ from .widths import _nearest_coords
 __all__ = [
     "HatSystem",
     "CubeBumpSystem",
-    "IsometryChart",
     "JohnMap",
     "LipschitzMapSpec",
     "john_ellipsoid",
@@ -48,15 +44,23 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# partition-of-unity systems
+# partition-of-unity systems: on the rows x extra_dim block y, locate(y) is
+# each row's cell j and value(j, y) its weight, which has Lipschitz constant
+# slope in the max norm and is one at peak(j)
 
 
 @dataclass(frozen=True)
 class HatSystem:
     """N piecewise-linear hats on [-1,1]: hat j peaks at the center of
-    [a_j, a_{j+1}], a_j = 2j/N - 1, vanishes at every breakpoint, slope N."""
+    [a_j, a_{j+1}], a_j = 2j/N - 1, vanishes at every breakpoint, slope N.
+    A flat y is read as the one-column block."""
 
     N: int
+    extra_dim = 1
+
+    @property
+    def slope(self) -> float:
+        return float(self.N)
 
     @property
     def breakpoints(self) -> np.ndarray:
@@ -66,21 +70,30 @@ class HatSystem:
     def centers(self) -> np.ndarray:
         return (2.0 * np.arange(self.N) + 1.0) / self.N - 1.0
 
-    def locate(self, t: np.ndarray) -> np.ndarray:
-        j = np.floor((np.asarray(t) + 1.0) * self.N / 2.0).astype(int)
-        return np.clip(j, 0, self.N - 1)
+    def locate(self, y: np.ndarray) -> np.ndarray:
+        t = np.asarray(y, dtype=float).reshape(-1)
+        return np.clip(np.floor((t + 1.0) * self.N / 2.0).astype(int), 0, self.N - 1)
 
-    def value(self, j: np.ndarray, t: np.ndarray) -> np.ndarray:
-        c = self.centers[j]
-        return np.maximum(0.0, 1.0 - self.N * np.abs(np.asarray(t) - c))
+    def value(self, j: np.ndarray, y: np.ndarray) -> np.ndarray:
+        t = np.asarray(y, dtype=float).reshape(-1)
+        return np.maximum(0.0, 1.0 - self.N * np.abs(t - self.centers[j]))
+
+    def peak(self, j: int) -> np.ndarray:
+        return self.centers[j : j + 1]
 
 
 @dataclass(frozen=True)
 class CubeBumpSystem:
     """2^ell bumps, one per unit subcube of [-1,1]^ell; bump j is
-    2*(1/2 - ||c_j - y||_inf)_+ with c_j the cube center (bit pattern of j)."""
+    2*(1/2 - ||c_j - y||_inf)_+ with c_j the cube center (bit pattern of j),
+    slope 2."""
 
     ell: int
+    slope = 2.0
+
+    @property
+    def extra_dim(self) -> int:
+        return self.ell
 
     @property
     def count(self) -> int:
@@ -102,15 +115,8 @@ class CubeBumpSystem:
         c = self.centers[j]
         return 2.0 * np.maximum(0.0, 0.5 - np.max(np.abs(c - y), axis=1))
 
-
-@dataclass(frozen=True)
-class IsometryChart:
-    """Coordinates -> subspace element through an orthonormal basis."""
-
-    basis: np.ndarray  # d x n, orthonormal columns
-
-    def map(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) @ self.basis.T
+    def peak(self, j: int) -> np.ndarray:
+        return self.centers[j]
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +130,6 @@ class JohnMap:
 
     matrix: np.ndarray  # n x n
     factor: float
-    shape: np.ndarray  # ellipsoid shape Q with phi(B_2) = {x: x^T Q x <= 1}
     gap: float
     iterations: int
     converged: bool
@@ -192,25 +197,25 @@ def john_ellipsoid(ball, dim: int | None = None, tol: float = 5e-9) -> JohnMap:
 
     ball: "euclidean" | "max" | ("p", p) | ("vertices", V) | ("facets", A).
     Norm balls use the l_p closed form; euclidean is p = 2 and max is
-    p = inf, both giving the unit ball.  Polytopes run the away-step
-    Khachiyan ascent on their vertex (or facet-normal) list until its gap is
-    at most ``tol``, for at most ``spaces._SIMPLEX_MAX_ITER`` iterations;
-    ``converged`` says which.
+    p = inf, both giving the unit ball, and ("p", inf) is the max ball.
+    Polytopes run the away-step Khachiyan ascent on their vertex (or
+    facet-normal) list until its gap is at most ``tol``, for at most
+    ``spaces._SIMPLEX_MAX_ITER`` iterations; ``converged`` says which.
     """
     if isinstance(ball, str):
         kind, data = ball, None
     else:
         kind, data = ball[0], ball[1]
-    if kind in ("euclidean", "max", "p", "pnorm"):
+    if kind in ("euclidean", "max", "p"):
         if dim is None:
             raise ValueError("dim required for norm-ball inputs")
         p = {"euclidean": 2.0, "max": math.inf}.get(kind) or float(data)
         if p < 1:
             raise ValueError("p must be >= 1")
         r = min(1.0, float(dim) ** (0.5 - 1.0 / p))
-        kind = "pnorm" if kind == "p" else kind
-        return JohnMap(r * np.eye(dim), float(dim) ** abs(0.5 - 1.0 / p), np.eye(dim) / r**2,
-                       0.0, 0, True, kind, p if kind == "pnorm" else None)
+        kind = "max" if p == math.inf else "pnorm" if kind == "p" else kind
+        return JohnMap(r * np.eye(dim), float(dim) ** abs(0.5 - 1.0 / p), 0.0, 0, True, kind,
+                       p if kind == "pnorm" else None)
     if kind not in ("vertices", "facets"):
         raise ValueError(f"unknown ball spec {ball!r}")
     arr = np.atleast_2d(np.asarray(data, dtype=float))
@@ -223,7 +228,7 @@ def john_ellipsoid(ball, dim: int | None = None, tol: float = 5e-9) -> JohnMap:
     # for vertices M is the enclosing-ellipsoid shape; the inscribed map
     # shrinks it by sqrt(n)
     phi = _sqrtm_psd(M) if kind == "facets" else _sqrtm_psd(np.linalg.inv(M)) / math.sqrt(n)
-    return JohnMap(phi, math.sqrt(n), np.linalg.inv(phi @ phi.T), gap, it, conv, kind, arr)
+    return JohnMap(phi, math.sqrt(n), gap, it, conv, kind, arr)
 
 
 def john_sandwich_sampled(jm: JohnMap, samples: int = 1000, seed: int = 0):
@@ -256,29 +261,23 @@ def john_sandwich_sampled(jm: JohnMap, samples: int = 1000, seed: int = 0):
 class LipschitzMapSpec:
     """A concrete Lipschitz map from a product domain ball into R^d.
 
-    Evaluation: scale * outer_coef * sum_j w_j(extra) * (chart_j @ x) with
-    w_j the hat or bump weights.  ``gamma`` is the claimed Lipschitz
-    constant of the scaled map.
+    Evaluation: coef * w_j(y) * (charts[j] @ x), where x is the first n
+    coordinates of a domain point, y the weights' extra-coordinate block and
+    j = weights.locate(y).  ``gamma`` is the claimed Lipschitz constant,
+    coef * M * (weights.slope + 1) as built (M bounds the chart norms), and
+    |t| times that after ``scaled(t)``.
     """
 
-    kind: str  # "phi" | "psi" | "theta" | "xi"
     n: int
     charts: tuple[np.ndarray, ...]
-    hats: HatSystem | None
-    bumps: CubeBumpSystem | None
+    weights: HatSystem | CubeBumpSystem
     ambient: NormSpec
     gamma: float
-    outer_coef: float = 1.0
-    scale: float = 1.0
-    chart_factor: float = 1.0  # M in the claimed constants
-
-    @property
-    def extra_dim(self) -> int:
-        return 1 if self.hats is not None else self.bumps.ell
+    coef: float
 
     @property
     def domain_dim(self) -> int:
-        return self.n + self.extra_dim
+        return self.n + self.weights.extra_dim
 
     def evaluate(self, z: np.ndarray) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=float))
@@ -286,30 +285,16 @@ class LipschitzMapSpec:
             raise ValueError(
                 f"domain point has dimension {z.shape[1]}, expected {self.domain_dim}"
             )
-        x = z[:, : self.n]
+        x, y = z[:, : self.n], z[:, self.n:]
         d = self.charts[0].shape[0]
         out = np.zeros((z.shape[0], d))
-        j, w = self._chart_weights(z)
+        j = self.weights.locate(y)
+        w = self.weights.value(j, y)
         for jj in np.unique(j):
             mask = j == jj
             A = self.charts[jj]
             out[mask] = w[mask, None] * (x[mask] @ A.T)
-        return out * (self.outer_coef * self.scale)
-
-    def _chart_weights(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The chart index and hat or bump weight of each domain row of z."""
-        y = z[:, self.n:]
-        if self.hats is not None:
-            j = self.hats.locate(y[:, 0])
-            return j, self.hats.value(j, y[:, 0])
-        j = self.bumps.locate(y)
-        return j, self.bumps.value(j, y)
-
-    def peak_coordinate(self, j: int) -> np.ndarray:
-        """The extra-coordinate value where chart j has weight one."""
-        if self.hats is not None:
-            return np.array([self.hats.centers[j]])
-        return self.bumps.centers[j]
+        return out * self.coef
 
     def anchor(self, f: np.ndarray, j: int) -> np.ndarray:
         """Domain point whose image is the chart-j anchor of f (see
@@ -318,19 +303,19 @@ class LipschitzMapSpec:
 
     def _anchors(self, F: np.ndarray, j: int) -> np.ndarray:
         """Domain points, one per row of F, at chart j's peak: the
-        coordinates of the nearest point of span(s * A_j), s = outer_coef *
-        scale, in the ambient norm (least squares for the euclidean norm, one
+        coordinates of the nearest point of span(coef * A_j) in the ambient
+        norm (least squares for the euclidean norm, one
         ``widths._nearest_coords`` solve for all rows otherwise), pulled
         radially into the unit ball.
-        The anchor's image is the nearest point of s * A_j(B_2) when no pull
-        is needed, and on euclidean isometry charts, where
-        |f - sUy|^2 = |f - UU^T f|^2 + |U^T f - sy|^2."""
+        The anchor's image is the nearest point of c * A_j(B_2), c = coef,
+        when no pull is needed, and on euclidean isometry charts, where
+        |f - cUy|^2 = |f - UU^T f|^2 + |U^T f - cy|^2."""
         F = np.asarray(F, dtype=float)
         d = self.charts[j].shape[0]
         if F.shape[1] != d:
             raise ValueError(f"set points have dimension {F.shape[1]}, "
                              f"the map's image has dimension {d}")
-        A = self.charts[j] * (self.outer_coef * self.scale)
+        A = self.charts[j] * self.coef
         if not np.any(np.abs(A) > 0):
             X = np.zeros((len(F), self.n))
         elif self.ambient.is_euclidean:
@@ -341,11 +326,23 @@ class LipschitzMapSpec:
             nx = float(np.linalg.norm(x))
             if nx > 1.0:
                 x /= nx
-        return np.hstack([X, np.tile(self.peak_coordinate(j), (len(F), 1))])
+        return np.hstack([X, np.tile(self.weights.peak(j), (len(F), 1))])
 
     def scaled(self, t: float) -> "LipschitzMapSpec":
         """Output dilation by t (the claimed constant scales with |t|)."""
-        return replace(self, scale=self.scale * t, gamma=self.gamma * abs(t))
+        return replace(self, coef=self.coef * t, gamma=self.gamma * abs(t))
+
+
+def _hat_and_bump_maps(charts, ambient: NormSpec, coef: float, M: float):
+    """The hat map over the N charts and the cube-bump map over them
+    zero-padded to 2^ell, ell = max(1, ceil(log2 N)); each claims the
+    constant coef * M * (slope + 1)."""
+    d, n = charts[0].shape
+    N = len(charts)
+    ell = max(1, math.ceil(math.log2(N)))
+    padded = (*charts, *[np.zeros((d, n))] * ((1 << ell) - N))
+    return tuple(LipschitzMapSpec(n, cs, w, ambient, coef * M * (w.slope + 1.0), coef)
+                 for cs, w in ((tuple(charts), HatSystem(N)), (padded, CubeBumpSystem(ell))))
 
 
 def _check_charts(bases, ambient: NormSpec | None):
@@ -360,54 +357,43 @@ def _check_charts(bases, ambient: NormSpec | None):
             raise ValueError("non-orthonormal chart")
     if ambient is not None and ambient.dim != d:
         raise ValueError("ambient dimension mismatch")
-    return bases, d, n
+    return bases
+
+
+def _isometry_maps(bases, ambient: NormSpec | None):
+    """The hat and cube-bump maps over isometry charts (coef 1, M 1)."""
+    bases = _check_charts(bases, ambient)
+    ambient = ambient or NormSpec("euclidean", bases[0].shape[0])
+    if not ambient.is_euclidean:
+        raise ValueError("isometry charts need a euclidean ambient norm")
+    return _hat_and_bump_maps(bases, ambient, 1.0, 1.0)
 
 
 def build_phi(bases, ambient: NormSpec | None = None) -> LipschitzMapSpec:
     """Hat-system map over isometry charts (euclidean ambient); claimed
     constant N+1."""
-    bases, d, n = _check_charts(bases, ambient)
-    ambient = ambient or NormSpec("euclidean", d)
-    if not ambient.is_euclidean:
-        raise ValueError("isometry charts need a euclidean ambient norm")
-    N = len(bases)
-    return LipschitzMapSpec(
-        kind="phi", n=n, charts=tuple(bases), hats=HatSystem(N), bumps=None,
-        ambient=ambient, gamma=float(N + 1),
-    )
+    return _isometry_maps(bases, ambient)[0]
 
 
 def build_psi(bases, ambient: NormSpec | None = None) -> LipschitzMapSpec:
     """Cube-bump map over isometry charts, zero-padded to 2^ell charts;
     claimed constant 3 independent of the family size."""
-    bases, d, n = _check_charts(bases, ambient)
-    ambient = ambient or NormSpec("euclidean", d)
-    if not ambient.is_euclidean:
-        raise ValueError("isometry charts need a euclidean ambient norm")
-    N = len(bases)
-    ell = max(1, math.ceil(math.log2(N)))
-    padded = list(bases) + [np.zeros((d, n))] * ((1 << ell) - N)
-    return LipschitzMapSpec(
-        kind="psi", n=n, charts=tuple(padded), hats=None, bumps=CubeBumpSystem(ell),
-        ambient=ambient, gamma=3.0,
-    )
+    return _isometry_maps(bases, ambient)[1]
 
 
-def _john_charts(bases, ambient: NormSpec, directions: int = 8192):
+def _john_charts(bases, ambient: NormSpec):
     """John-ellipsoid chart matrices M * U_j phi_j for a non-euclidean ambient."""
-    d, n = bases[0].shape
-    if ambient.kind == "max":
-        M = math.sqrt(n)
-    else:
-        M = float(n) ** abs(0.5 - 1.0 / ambient.p)
+    n = bases[0].shape[1]
+    M = math.sqrt(n) if ambient.kind == "max" else float(n) ** abs(0.5 - 1.0 / ambient.p)
     charts = []
     for U in bases:
         if ambient.kind == "max":
             phi = john_ellipsoid(("facets", U), tol=1e-10).matrix
         else:
             # supporting-hyperplane discretization of {c : ||U c||_p <= 1}
+            # by 8192 sampled directions
             rng = np.random.default_rng(0)
-            V = rng.normal(size=(directions, n))
+            V = rng.normal(size=(8192, n))
             V /= np.linalg.norm(V, axis=1, keepdims=True)
             A = ambient.dual(V @ U.T) @ U
             phi = john_ellipsoid(("facets", A), tol=1e-10).matrix
@@ -421,27 +407,17 @@ def _john_charts(bases, ambient: NormSpec, directions: int = 8192):
 
 
 def build_theta_xi(bases, ambient: NormSpec):
-    """Hat and cube-bump maps over John-ellipsoid charts for a general norm;
-    claimed constants 2M(N+1) and 6M, the dilation by 2 reaching approximants
-    of norm up to twice the set bound.
+    """Hat and cube-bump maps over John-ellipsoid charts for a general norm
+    (isometry charts, M = 1, for a euclidean one); claimed constants
+    2M(N+1) and 6M, the dilation by 2 reaching approximants of norm up to
+    twice the set bound.
     """
-    bases, d, n = _check_charts(bases, ambient)
+    bases = _check_charts(bases, ambient)
     if ambient.is_euclidean:
         charts, M = [U.copy() for U in bases], 1.0
     else:
         charts, M = _john_charts(bases, ambient)
-    N = len(bases)
-    theta = LipschitzMapSpec(
-        kind="theta", n=n, charts=tuple(charts), hats=HatSystem(N), bumps=None,
-        ambient=ambient, gamma=2.0 * M * (N + 1), outer_coef=2.0, chart_factor=M,
-    )
-    ell = max(1, math.ceil(math.log2(N)))
-    padded = list(charts) + [np.zeros((d, n))] * ((1 << ell) - N)
-    xi = LipschitzMapSpec(
-        kind="xi", n=n, charts=tuple(padded), hats=None, bumps=CubeBumpSystem(ell),
-        ambient=ambient, gamma=6.0 * M, outer_coef=2.0, chart_factor=M,
-    )
-    return theta, xi
+    return _hat_and_bump_maps(charts, ambient, 2.0, M)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +433,7 @@ def _sample_ball(rng, count: int, n: int) -> np.ndarray:
 
 def _sample_domain(spec: LipschitzMapSpec, rng, count: int) -> np.ndarray:
     x = _sample_ball(rng, count, spec.n)
-    y = rng.uniform(-1.0, 1.0, size=(count, spec.extra_dim))
+    y = rng.uniform(-1.0, 1.0, size=(count, spec.weights.extra_dim))
     return np.hstack([x, y])
 
 
@@ -468,8 +444,8 @@ def _adversarial_pairs(spec: LipschitzMapSpec, rng, per_site: int = 24):
     xs = _sample_ball(rng, per_site, spec.n)
     xs[0] = 0.0
     xs[0][0] = 1.0  # a unit-norm chart input realizes the full slope
-    if spec.hats is not None:
-        hs = spec.hats
+    hs = spec.weights
+    if isinstance(hs, HatSystem):
         sites = np.concatenate([hs.breakpoints, hs.centers])
         for site in sites:
             d1 = rng.uniform(1e-6, 1e-3, size=per_site)
@@ -487,7 +463,7 @@ def _adversarial_pairs(spec: LipschitzMapSpec, rng, per_site: int = 24):
             us.append(np.column_stack([xs, t1]))
             vs.append(np.column_stack([xs, np.minimum(t2, a + h)]))
     else:
-        ell = spec.bumps.ell
+        ell = hs.ell
         for k in range(ell):
             for plane in (-1.0, 0.0, 1.0):
                 y = rng.uniform(-1.0, 1.0, size=(per_site, ell))
@@ -497,7 +473,7 @@ def _adversarial_pairs(spec: LipschitzMapSpec, rng, per_site: int = 24):
                 us.append(np.hstack([xs, y1]))
                 vs.append(np.hstack([xs, y2]))
         # radial pairs inside one cube: toward/away from the center
-        centers = spec.bumps.centers
+        centers = hs.centers
         for j in range(min(len(centers), 8)):
             c = centers[j]
             off = rng.uniform(-0.2, 0.2, size=(per_site, ell))
@@ -546,8 +522,8 @@ def fixed_width_upper(K: CompactSetModel, spec: LipschitzMapSpec) -> float:
     chart anchor's image (``LipschitzMapSpec._anchors``), in the ambient norm.
 
     Each hat or bump weight sweeps [0, 1], so the map's image is the union
-    over charts j of s * A_j(B_2), s = outer_coef * scale, and a point's
-    distance to it is the least over charts of its distance to one of them.
+    over charts j of coef * A_j(B_2), and a point's distance to it is the
+    least over charts of its distance to one of them.
     The value is the fixed width of the map when every anchor is the nearest
     point of its chart's image: on euclidean isometry charts, on any chart
     whose anchor needs no radial pull, and on the max-norm John charts of a

@@ -121,15 +121,31 @@ def _fmt(v: float) -> str:
 def _parse_values(text: str, cast=int) -> list:
     vals = [cast(tok.strip()) for tok in text.split(",") if tok.strip()]
     if not vals:
-        raise ConfigError("empty value list")
+        raise ValueError("empty value list")
     return vals
+
+
+def _floats(text: str) -> list:
+    return _parse_values(text, float)
 
 
 def _parse_window(text: str) -> tuple[int, int]:
     vals = _parse_values(text, int)
     if len(vals) != 2 or vals[0] > vals[1]:
-        raise ConfigError(f"window must be 'lo,hi' with lo <= hi, got {text!r}")
+        raise ValueError(f"must be 'lo,hi' with lo <= hi, got {text!r}")
     return vals[0], vals[1]
+
+
+def _option(cfg: ExperimentConfig, key: str, default, cast):
+    """Option ``key`` (``default`` if absent, required if that is None)
+    through ``cast``; a ConfigError names the section and key of a fault."""
+    text = cfg.options.get(key, default)
+    if text is None:
+        raise ConfigError(f"[{cfg.exp_id}] {key}: required")
+    try:
+        return cast(text)
+    except ValueError as exc:
+        raise ConfigError(f"[{cfg.exp_id}] {key}: {exc}") from None
 
 
 def parse_config(path: str | Path) -> list[ExperimentConfig]:
@@ -147,7 +163,10 @@ def parse_config(path: str | Path) -> list[ExperimentConfig]:
         for key in raw:
             if key not in allowed:
                 raise ConfigError(f"[{section}] {key}: unknown key for kind {kind}")
-        seed = int(raw["seed"]) if "seed" in raw else None
+        try:
+            seed = int(raw["seed"]) if "seed" in raw else None
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] seed: {exc}") from None
         set_kind = raw.get("set", "ksigma")
         if seed is None and (kind in _STOCHASTIC_KINDS or set_kind == "cloud"):
             raise ConfigError(f"[{section}] seed: required for stochastic experiments")
@@ -164,14 +183,14 @@ def parse_config(path: str | Path) -> list[ExperimentConfig]:
 def build_set(cfg: ExperimentConfig) -> CompactSetModel:
     opts = cfg.options
     set_kind = opts.get("set", "ksigma")
-    scale = float(opts.get("scale", 1.0))
+    scale = _option(cfg, "scale", 1.0, float)
     if set_kind == "ksigma":
-        alpha = float(opts.get("alpha", 1.0))
-        J = int(opts.get("truncation", 33))
+        alpha = _option(cfg, "alpha", 1.0, float)
+        J = _option(cfg, "truncation", 33, int)
         K = CompactSetModel.ksigma(alpha, J).as_cloud()
     elif set_kind == "cloud":
-        m = int(opts.get("cloud_points", 32))
-        d = int(opts.get("cloud_dim", 3))
+        m = _option(cfg, "cloud_points", 32, int)
+        d = _option(cfg, "cloud_dim", 3, int)
         norm_text = opts.get("cloud_norm", "euclidean")
         if norm_text == "euclidean":
             norm = NormSpec("euclidean", d)
@@ -227,7 +246,7 @@ def _add_verdict(out, cfg, v: harness.Verdict):
 def _run_entropy(cfg: ExperimentConfig) -> _Output:
     out = _Output()
     K = build_set(cfg)
-    ns = _parse_values(cfg.options.get("n_values", "0,1,2"))
+    ns = _option(cfg, "n_values", "0,1,2", _parse_values)
     sides = cfg.options.get("sides", "both")
     # the sandwich checks reuse the reported brackets
     for n in ns:
@@ -240,7 +259,7 @@ def _run_entropy(cfg: ExperimentConfig) -> _Output:
         for v in harness.entropy_sandwich_verdicts(n, outer, inner):
             _add_verdict(out, cfg, v)
     if "eps_values" in cfg.options:
-        for eps in _parse_values(cfg.options["eps_values"], float):
+        for eps in _option(cfg, "eps_values", None, _floats):
             cover = ent.cover_number(K, eps, inner=True)
             packing = ent.packing_number(K, eps)
             _bracket_row(out, cfg, K, None, None, f"cover_number(eps={eps:g})",
@@ -256,7 +275,7 @@ def _run_entropy(cfg: ExperimentConfig) -> _Output:
 def _run_linear_width(cfg: ExperimentConfig) -> _Output:
     out = _Output()
     K = build_set(cfg)
-    for n in _parse_values(cfg.options.get("n_values", "0,1,2")):
+    for n in _option(cfg, "n_values", "0,1,2", _parse_values):
         res = widths.linear_width(K, n, seed=cfg.seed)
         _bracket_row(out, cfg, K, n, 1, "linear_width", res.bracket, cfg.seed)
     return out
@@ -265,8 +284,8 @@ def _run_linear_width(cfg: ExperimentConfig) -> _Output:
 def _run_nonlinear_width(cfg: ExperimentConfig) -> _Output:
     out = _Output()
     K = build_set(cfg)
-    ns = _parse_values(cfg.options.get("n_values", "1"))
-    Ns = _parse_values(cfg.options.get("big_n_values", "2"))
+    ns = _option(cfg, "n_values", "1", _parse_values)
+    Ns = _option(cfg, "big_n_values", "2", _parse_values)
     for n in ns:
         for N in Ns:
             res = widths.nonlinear_width(K, n, N, seed=cfg.seed)
@@ -277,9 +296,9 @@ def _run_nonlinear_width(cfg: ExperimentConfig) -> _Output:
 def _run_lipschitz(cfg: ExperimentConfig) -> _Output:
     out = _Output()
     K = build_set(cfg)
-    n = int(cfg.options.get("n", 1))
-    N = int(cfg.options.get("big_n", 2))
-    pairs = int(cfg.options.get("pairs", 100_000))
+    n = _option(cfg, "n", 1, int)
+    N = _option(cfg, "big_n", 2, int)
+    pairs = _option(cfg, "pairs", 100_000, int)
     s = max(1e-300, sup_norm(K))
     Ks = scale_set(K, 1.0 / s)
     res = widths.nonlinear_width(
@@ -310,7 +329,7 @@ def _run_lipschitz(cfg: ExperimentConfig) -> _Output:
 
 
 def _ksigma_series(cfg: ExperimentConfig, window):
-    alpha = float(cfg.options.get("alpha", 1.0))
+    alpha = _option(cfg, "alpha", 1.0, float)
     lo, hi = window
     e = harness.ksigma_entropy_series(alpha, range(0, max(hi + 1, 200)))
     d = harness.ksigma_linear_width_series(alpha, range(0, hi))
@@ -328,11 +347,11 @@ def _log_only_plot(series: dict, window: tuple[int, int]) -> tuple[str, np.ndarr
 
 def _run_carl(cfg: ExperimentConfig) -> _Output:
     out = _Output()
-    window = _parse_window(cfg.options.get("window", "1,12"))
-    rs = _parse_values(cfg.options.get("r_values", "1"), float)
+    window = _option(cfg, "window", "1,12", _parse_window)
+    rs = _option(cfg, "r_values", "1", _floats)
     if "e_series" in cfg.options or "d_series" in cfg.options:
-        evals = _parse_values(cfg.options["e_series"], float)
-        dvals = _parse_values(cfg.options["d_series"], float)
+        evals = _option(cfg, "e_series", None, _floats)
+        dvals = _option(cfg, "d_series", None, _floats)
         e = {k + 1: Bracket.exactly(v) for k, v in enumerate(evals)}
         d = {j: Bracket.exactly(v) for j, v in enumerate(dvals)}
         window = (1, min(window[1], len(evals), len(dvals)))
@@ -355,14 +374,14 @@ def _run_carl(cfg: ExperimentConfig) -> _Output:
                                   f"carl_witness(r={r:g})", v.witness, v.witness,
                                   True, "constant-witness-envelope", 0, cfg.seed))
     if "lambda" in cfg.options:
-        lam = float(cfg.options["lambda"])
+        lam = _option(cfg, "lambda", None, float)
         d_lam = harness.ksigma_nonlinear_width_series(alpha, ("lambda", lam),
                                                       range(1, window[1] + 1))
         for r in rs:
             v = harness.check_generalized_carl(e, d_lam, r, ("lambda", lam), window)
             _add_verdict(out, cfg, v)
     if "a" in cfg.options:
-        a = float(cfg.options["a"])
+        a = _option(cfg, "a", None, float)
         max_idx = math.ceil((a + max(rs)) * window[1] * math.log2(window[1])) + 1
         e_big = harness.ksigma_entropy_series(alpha, range(0, max_idx + 1))
         d_pow = harness.ksigma_nonlinear_width_series(alpha, ("power", a),
@@ -380,8 +399,8 @@ def _run_carl(cfg: ExperimentConfig) -> _Output:
 def _run_entropy_from_width(cfg: ExperimentConfig) -> _Output:
     out = _Output()
     K = build_set(cfg)
-    ns = _parse_values(cfg.options.get("n_values", "1"))
-    Ns = _parse_values(cfg.options.get("big_n_values", "2"))
+    ns = _option(cfg, "n_values", "1", _parse_values)
+    Ns = _option(cfg, "big_n_values", "2", _parse_values)
     for n in ns:
         for N in Ns:
             v = harness.check_entropy_from_width(K, n, N, seed=cfg.seed or 0)
@@ -391,11 +410,11 @@ def _run_entropy_from_width(cfg: ExperimentConfig) -> _Output:
 
 def _run_l6(cfg: ExperimentConfig) -> _Output:
     out = _Output()
-    alpha = float(cfg.options.get("alpha", 1.0))
-    a_exp = float(cfg.options.get("alpha_exp", 1.0))
-    b_exp = float(cfg.options.get("beta_exp", 0.0))
-    lam = float(cfg.options.get("lambda", 2.0))
-    window = _parse_window(cfg.options.get("window", "4,12"))
+    alpha = _option(cfg, "alpha", 1.0, float)
+    a_exp = _option(cfg, "alpha_exp", 1.0, float)
+    b_exp = _option(cfg, "beta_exp", 0.0, float)
+    lam = _option(cfg, "lambda", 2.0, float)
+    window = _option(cfg, "window", "4,12", _parse_window)
     w = harness.ksigma_nonlinear_width_series(alpha, ("lambda", lam),
                                               range(1, window[1] + 1))
     m_max = math.ceil(2 * a_exp * window[1] * math.log2(window[1])) + 1
@@ -407,11 +426,11 @@ def _run_l6(cfg: ExperimentConfig) -> _Output:
 
 def _run_mterm(cfg: ExperimentConfig) -> _Output:
     out = _Output()
-    J = int(cfg.options.get("dict_size", 64))
-    n_k = int(cfg.options.get("n_k", 8))
-    a2 = float(cfg.options.get("a2", 2.0))
-    m = int(cfg.options.get("m", 4))
-    count = int(cfg.options.get("count", 100))
+    J = _option(cfg, "dict_size", 64, int)
+    n_k = _option(cfg, "n_k", 8, int)
+    a2 = _option(cfg, "a2", 2.0, float)
+    m = _option(cfg, "m", 4, int)
+    count = _option(cfg, "count", 100, int)
     V = mterm.VPOperator(n_k=n_k, A2=a2)
     rng = np.random.default_rng([cfg.seed, 1])
     worst = None
@@ -435,8 +454,8 @@ def _run_mterm(cfg: ExperimentConfig) -> _Output:
 
 def _run_ksigma_reproduce(cfg: ExperimentConfig) -> _Output:
     out = _Output()
-    alpha = float(cfg.options.get("alpha", 1.0))
-    ns = _parse_values(cfg.options.get("n_values", "1,2,3,4,5,6"))
+    alpha = _option(cfg, "alpha", 1.0, float)
+    ns = _option(cfg, "n_values", "1,2,3,4,5,6", _parse_values)
     series = {}
     all_ok = True
     for n in ns:
@@ -452,7 +471,7 @@ def _run_ksigma_reproduce(cfg: ExperimentConfig) -> _Output:
     _add_verdict(out, cfg, harness.Verdict(
         "ksigma-entropy-containment", status, None, (min(ns), max(ns)),
         "numeric bracket contains the closed form within 1e-9 + tail gap"))
-    window = _parse_window(cfg.options.get("window", f"{max(3, min(ns))},{max(ns)}"))
+    window = _option(cfg, "window", f"{max(3, min(ns))},{max(ns)}", _parse_window)
     usable = {n: series[n] for n in series if window[0] <= n <= window[1]}
     if len(usable) >= 4:
         out.plots[f"{cfg.exp_id}_closed_form.dat"] = _log_only_plot(usable, window)

@@ -394,7 +394,8 @@ def linear_width(
     else:
         br = Bracket(min(spectral, val), val, exact=False,
                      lower_method="spectral-mean-square", upper_method="minimax-refine")
-    return WidthResult(br, fam, restarts)
+    # the exact paths run no restart
+    return WidthResult(br, fam, restarts if cert is None else 0)
 
 
 # ---------------------------------------------------------------------------

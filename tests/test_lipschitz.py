@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from widthlab.lipschitz import (
     CubeBumpSystem,
     HatSystem,
-    IsometryChart,
     LipschitzMapSpec,
+    _hat_and_bump_maps,
     build_phi,
     build_psi,
     build_theta_xi,
@@ -41,16 +41,6 @@ def test_hat_system_geometry():
     assert np.allclose(hs.value(jb, hs.breakpoints[:-1]), 0.0)
 
 
-def test_isometry_chart():
-    rng = np.random.default_rng(4)
-    Q, _ = np.linalg.qr(rng.normal(size=(5, 2)))
-    chart = IsometryChart(Q)
-    x = rng.normal(size=(20, 2))
-    out = chart.map(x)
-    assert np.allclose(np.linalg.norm(out, axis=1), np.linalg.norm(x, axis=1),
-                       atol=1e-10)
-
-
 def test_cube_bumps_geometry():
     cb = CubeBumpSystem(3)
     assert cb.count == 8
@@ -71,10 +61,10 @@ def test_phi_anchor_and_breakpoints():
     U1 = np.array([[1.0], [0.0]])
     U2 = np.array([[0.0], [1.0]])
     spec = build_phi([U1, U2])
-    c0 = spec.hats.centers[0]
+    c0 = spec.weights.centers[0]
     out = spec.evaluate(np.array([[1.0, c0]]))[0]
     assert np.allclose(out, [1.0, 0.0], atol=1e-12)
-    for a in spec.hats.breakpoints:
+    for a in spec.weights.breakpoints:
         out = spec.evaluate(np.array([[0.7, a]]))[0]
         assert np.allclose(out, 0.0, atol=1e-12)
 
@@ -100,7 +90,7 @@ def test_psi_anchor_zero_boundary_and_constant():
     z = spec.anchor(f, 0)
     assert np.allclose(spec.evaluate(z)[0], f, atol=1e-10)
     # all bumps vanish on the facial grid
-    z = np.concatenate([[0.5, 0.5], np.zeros(spec.bumps.ell)])
+    z = np.concatenate([[0.5, 0.5], np.zeros(spec.weights.ell)])
     assert np.allclose(spec.evaluate(z)[0], 0.0, atol=1e-12)
     est = estimate_lipschitz(spec, pairs=20_000, seed=8)
     assert est <= 3.0 + 1e-9
@@ -108,9 +98,8 @@ def test_psi_anchor_zero_boundary_and_constant():
 
 def test_constant_map_estimate_zero():
     spec = LipschitzMapSpec(
-        kind="phi", n=1, charts=(np.zeros((2, 1)), np.zeros((2, 1))),
-        hats=HatSystem(2), bumps=None, ambient=NormSpec("euclidean", 2),
-        gamma=0.0,
+        n=1, charts=(np.zeros((2, 1)), np.zeros((2, 1))), weights=HatSystem(2),
+        ambient=NormSpec("euclidean", 2), gamma=0.0, coef=1.0,
     )
     assert estimate_lipschitz(spec, pairs=2000, seed=1) == 0.0
 
@@ -125,6 +114,11 @@ def test_john_examples():
     assert np.allclose(jm.matrix, np.eye(3))
     jm = john_ellipsoid(("p", 1.0), 2)
     assert np.allclose(jm.matrix, np.eye(2) / math.sqrt(2), atol=1e-12)
+    # p = inf is the max ball, whose gauge is the max norm
+    jm, ref = john_ellipsoid(("p", math.inf), 3), john_ellipsoid("max", 3)
+    assert jm.ball_kind == "max" and jm.ball_data is None
+    assert np.array_equal(jm.matrix, ref.matrix) and jm.factor == ref.factor == math.sqrt(3)
+    assert jm.gauge(np.array([0.5, -2.0, 1.0])) == 2.0
 
 
 def test_john_sandwich_random_polytopes():
@@ -185,6 +179,33 @@ def test_john_rejects_degenerate():
         john_ellipsoid(("vertices", np.array([[1.0, 0.0], [2.0, 0.0]])))
 
 
+def test_map_spec_fields():
+    assert [f.name for f in fields(LipschitzMapSpec)] == [
+        "n", "charts", "weights", "ambient", "gamma", "coef"]
+
+
+@pytest.mark.parametrize("N", range(1, 10))
+def test_builders_claim_coef_m_slope_plus_one(N):
+    # coef * M * (slope + 1) is, bit for bit, each map's constant as the
+    # paper writes it
+    charts = [np.linalg.qr(np.random.default_rng([N, j]).normal(size=(4, 2)))[0]
+              for j in range(N)]
+    phi, psi = build_phi(charts), build_psi(charts)
+    assert (phi.gamma, psi.gamma) == (float(N + 1), 3.0)
+    assert (phi.coef, psi.coef) == (1.0, 1.0)
+    assert len(psi.charts) == 2 ** max(1, math.ceil(math.log2(N)))
+    theta, xi = build_theta_xi(charts, NormSpec("euclidean", 4))
+    assert (theta.gamma, xi.gamma) == (2.0 * (N + 1), 6.0)
+    for M in (1.0, math.sqrt(2), math.sqrt(3), 2 ** (1 / 6)):
+        theta, xi = _hat_and_bump_maps(charts, NormSpec("max", 4), 2.0, M)
+        assert theta.gamma == 2.0 * M * (N + 1)
+        assert xi.gamma == 6.0 * M
+        assert (theta.coef, xi.coef) == (2.0, 2.0)
+        assert len(theta.charts) == N and len(xi.charts) == len(psi.charts)
+        assert all(A is B is C for A, B, C in zip(charts, theta.charts, xi.charts))
+        assert not any(np.any(A) for A in xi.charts[N:])
+
+
 def test_theta_xi_euclidean_reduces_to_scaled_hats():
     rng = np.random.default_rng(3)
     Q, _ = np.linalg.qr(rng.normal(size=(4, 3)))
@@ -194,7 +215,7 @@ def test_theta_xi_euclidean_reduces_to_scaled_hats():
     assert xi.gamma == pytest.approx(6.0)
     est = estimate_lipschitz(theta, pairs=20_000, seed=4)
     assert est <= theta.gamma + 1e-9
-    for a in theta.hats.breakpoints:
+    for a in theta.weights.breakpoints:
         z = np.array([0.3, a])
         assert np.allclose(theta.evaluate(z)[0], 0.0, atol=1e-12)
     with pytest.raises(ValueError):
@@ -292,7 +313,7 @@ def test_fixed_width_is_the_largest_chart_span_distance(n):
     for spec in specs:
         want = float(_chart_distances(F, spec).max())
         assert fixed_width_upper(K, spec) == pytest.approx(want, rel=1e-12), (
-            spec.kind, spec.ambient)
+            spec.weights, spec.ambient)
 
 
 # the charts of build_theta_xi(bases, NormSpec("pnorm", 4, p=1.5))[1] for the
@@ -322,9 +343,8 @@ def test_fixed_width_on_sampled_l15_john_charts():
     P = rng.normal(size=(m, d))
     K = CompactSetModel.cloud(P / np.linalg.norm(P, axis=1).max())
     charts = [np.array([[float.fromhex(x) for x in row] for row in C]) for C in _XI_L15_CHARTS]
-    xi = LipschitzMapSpec(kind="xi", n=2, charts=(*charts, np.zeros((4, 2))), hats=None,
-                          bumps=CubeBumpSystem(2), ambient=NormSpec("pnorm", 4, p=1.5),
-                          gamma=6.734772289856238, outer_coef=2.0, chart_factor=1.122462048309373)
+    xi = LipschitzMapSpec(n=2, charts=(*charts, np.zeros((4, 2))), weights=CubeBumpSystem(2),
+                          ambient=NormSpec("pnorm", 4, p=1.5), gamma=6.734772289856238, coef=2.0)
     got = fixed_width_upper(K, xi)
     # 200 golden-section coordinate descents from the least-squares anchors
     # read 0.091896748684701 here

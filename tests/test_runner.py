@@ -141,6 +141,29 @@ def test_bad_cloud_norm_is_a_config_error(tmp_path, capsys, norm):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("section, message", [
+    ("kind = entropy\nn_values = 1,x\nseed = 3",
+     "[e] n_values: invalid literal for int() with base 10: 'x'"),
+    ("kind = entropy\nset = cloud\ncloud_points = six\nseed = 3",
+     "[e] cloud_points: invalid literal for int() with base 10: 'six'"),
+    ("kind = lipschitz\nscale = big\nseed = 3",
+     "[e] scale: could not convert string to float: 'big'"),
+    ("kind = lipschitz\npairs = 1e5\nseed = 3",
+     "[e] pairs: invalid literal for int() with base 10: '1e5'"),
+    ("kind = carl\nwindow = 5,2", "[e] window: must be 'lo,hi' with lo <= hi, got '5,2'"),
+    ("kind = carl\nd_series = 1,2", "[e] e_series: required"),
+    ("kind = mterm\nseed = x", "[e] seed: invalid literal for int() with base 10: 'x'"),
+])
+def test_bad_option_value_is_a_config_error(tmp_path, capsys, jobs, section, message):
+    p = tmp_path / "bad.cfg"
+    p.write_text(f"[fine]\nkind = ksigma-reproduce\nn_values = 1,2,3\n\n[e]\n{section}\n")
+    assert run(p, out_dir=tmp_path / "out", jobs=jobs, quiet=True) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {message}\n" in err
+    assert "runtime error" not in err and "Traceback" not in err
+
+
 def test_missing_config_exit_code(tmp_path):
     assert run(tmp_path / "missing.cfg", out_dir=tmp_path / "out") == 1
 

@@ -437,6 +437,18 @@ def test_stretched_codimension_one_widths_are_sound_and_exact():
         assert br.lower <= best and br.upper <= best + 1e-9
 
 
+def test_exact_paths_report_no_restarts():
+    K = CompactSetModel.cloud(np.random.default_rng(4).normal(size=(10, 3)))
+    for n in (2, 3):
+        res = linear_width(K, n)
+        assert res.bracket.upper_method == "exact-path"
+        assert res.restarts_used == 0
+    res = linear_width(K, 1, restarts=5)
+    assert res.bracket.upper_method == "minimax-refine"
+    assert res.restarts_used == 5
+    assert linear_width(CompactSetModel.cloud(K.points, NormSpec("max", 3)), 2).restarts_used == 0
+
+
 def test_linear_width_witness_consistent():
     rng = np.random.default_rng(2)
     K = CompactSetModel.cloud(rng.normal(size=(15, 4)))
