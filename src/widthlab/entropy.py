@@ -19,7 +19,9 @@ Each public function builds one geometry (`_Geom`) and hands it to the
 private helpers; nothing is cached across calls.  Within the limit the
 geometry holds the whole distance matrix, which the exact searches read.
 Above it the greedy paths read only the rows of the points they pick, and
-the one-center radius prunes by landmark rows, so no m x m array is built.
+the one-center radius prunes by landmark rows, so no m x m array is built;
+only `entropy_number`, whose threshold searches pick the same points again
+and again, keeps the rows it computes.
 """
 
 from __future__ import annotations
@@ -106,12 +108,13 @@ class _Geom:
     The exact searches and the outer candidate pool run only on clouds of at
     most EXACT_POINT_LIMIT points (`small`), and those hold the whole
     distance matrix D.  Larger clouds have D = None and compute the rows that
-    the greedy paths ask for (`row`), each once.  A row of a block of points
-    equals the same row of the whole matrix bit for bit, so every result is
-    the same either way.
+    the greedy paths ask for (`row`): each once with ``keep_rows``, else on
+    every call, so that a single pass holds one row at a time.  A row of a
+    block of points equals the same row of the whole matrix bit for bit, so
+    every result is the same either way.
     """
 
-    def __init__(self, K: CompactSetModel):
+    def __init__(self, K: CompactSetModel, keep_rows: bool = False):
         cloud = K.as_cloud()
         self.model = cloud
         self.pts = cloud.points
@@ -123,12 +126,14 @@ class _Geom:
         # the exact searches run on clouds of at most EXACT_POINT_LIMIT points
         self.small = self.m <= EXACT_POINT_LIMIT
         self.D = self.norm.pairwise(self.pts) if self.small else None
-        self._rows: dict[int, np.ndarray] = {}
+        self._rows: dict[int, np.ndarray] | None = {} if keep_rows else None
 
     def row(self, i: int) -> np.ndarray:
-        """Distances from point i to every point: row i of D, computed once."""
+        """Distances from point i to every point: row i of D."""
         if self.D is not None:
             return self.D[i]
+        if self._rows is None:
+            return self.norm.pairwise(self.pts[i:i + 1], self.pts)[0]
         if i not in self._rows:
             self._rows[i] = self.norm.pairwise(self.pts[i:i + 1], self.pts)[0]
         return self._rows[i]
@@ -508,7 +513,7 @@ def entropy_number(K: CompactSetModel, n: int, inner: bool = True) -> Bracket:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    geom = _Geom(K)
+    geom = _Geom(K, keep_rows=True)
     target = 1 << n
     if target >= geom.m:
         return Bracket(0.0, 0.0, exact=True,

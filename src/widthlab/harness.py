@@ -233,39 +233,49 @@ def check_generalized_carl(e_series, d_series, r: float, schedule,
 # witness-level width chain
 
 
-def check_width_chain(K: CompactSetModel, n: int, N: int, seed: int = 0,
-                      tol: float = 1e-6) -> Verdict:
-    """Builds the bump-system map from the N-subspace witness and verifies
-    that its fixed-width upper bound does not exceed the width upper bound
-    (the chart anchors realize every assignment distance).  On non-euclidean
-    clouds an excess is indeterminate rather than a violation: there the
-    anchors rest on LP and L-BFGS tolerances, sampled l_p charts and radial
-    pulls (``fixed_width_upper``)."""
+def _fit_width_chain(K: CompactSetModel, n: int, N: int, seed: int):
+    """The width chain's fit: (s, scaled, wr) with s the sup-norm of K,
+    scaled the cloud of K over s (K's cloud itself when s is 0) and wr the
+    N-subspace width fit of scaled's points in the euclidean norm."""
     cloud = K.as_cloud()
     s = sup_norm(cloud)
-    window = (n, N)
+    scaled = scale_set(cloud, 1.0 / s) if s else cloud
+    return s, scaled, nonlinear_width(CompactSetModel.cloud(scaled.points, label=scaled.label),
+                                      n, N, seed=seed)
+
+
+def _width_chain_verdict(s: float, scaled: CompactSetModel, wr, window: tuple[int, int]) -> Verdict:
+    """The width chain's verdict on a fit from `_fit_width_chain`."""
     if s == 0:
         return Verdict("width-chain", HOLDS, 0.0, window, "degenerate zero set")
-    scaled = scale_set(cloud, 1.0 / s)
-    euclid = cloud.norm.is_euclidean
+    euclid = scaled.norm.is_euclidean
     # off the euclidean norm the witness is fitted in it and measured in the cloud's
-    fit = scaled if euclid else CompactSetModel.cloud(scaled.points, label=scaled.label)
-    try:
-        wr = nonlinear_width(fit, n, N, seed=seed)
-    except ValueError as exc:
-        return Verdict("width-chain", INDETERMINATE, None, window, f"solver guard: {exc}")
-    bases = wr.witness.bases
     target = wr.bracket.upper if euclid else float(wr.witness.distances(scaled).max())
+    bases = wr.witness.bases
     spec = build_psi(bases, scaled.norm) if euclid else build_theta_xi(bases, scaled.norm)[1]
     fw = fixed_width_upper(scaled, spec)
     details = f"fixed-width {fw * s:.6g} vs width upper {target * s:.6g} (normalized set)"
-    if fw <= target + tol:
+    if fw <= target + 1e-6:
         return Verdict("width-chain", HOLDS, fw * s, window, details)
     if not euclid:
         # the anchors here are solver and sampled-chart approximations, so
         # an excess over the witness's distances proves nothing
         return Verdict("width-chain", INDETERMINATE, fw * s, window, details)
     return Verdict("width-chain", VIOLATED, fw * s, window, details)
+
+
+def check_width_chain(K: CompactSetModel, n: int, N: int, seed: int = 0) -> Verdict:
+    """Builds the bump-system map from the N-subspace witness and verifies
+    that its fixed-width upper bound does not exceed the width upper bound
+    (the chart anchors realize every assignment distance).  On non-euclidean
+    clouds an excess is indeterminate rather than a violation: there the
+    anchors rest on LP and L-BFGS tolerances, sampled l_p charts and radial
+    pulls (``fixed_width_upper``)."""
+    try:
+        s, scaled, wr = _fit_width_chain(K, n, N, seed)
+    except ValueError as exc:
+        return Verdict("width-chain", INDETERMINATE, None, (n, N), f"solver guard: {exc}")
+    return _width_chain_verdict(s, scaled, wr, (n, N))
 
 
 # ---------------------------------------------------------------------------

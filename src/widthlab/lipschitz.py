@@ -11,6 +11,10 @@ charts give phi and psi (coef 1, M 1: N+1 and 3); other ambient norms take
 John-ellipsoid charts scaled by M (sqrt(n), or n^|1/2-1/p| for l_p), and
 coef 2 reaches approximants of norm up to 2: theta and xi (2M(N+1), 6M).
 
+The map's Lipschitz constant is coef * (slope + 1) * max_j ||A_j||, charts
+normed from B_2 into the ambient ball, and pairs at the weight peaks attain
+it: `estimate_lipschitz` reads one per chart (`_peak_pairs`).
+
 The fixed width of a map, the largest distance from a set point to its
 image, is read at chart anchors: the nearest point of each chart's span in
 the ambient norm, pulled radially into the domain ball.  It is exact on
@@ -61,10 +65,6 @@ class HatSystem:
     @property
     def slope(self) -> float:
         return float(self.N)
-
-    @property
-    def breakpoints(self) -> np.ndarray:
-        return 2.0 * np.arange(self.N + 1) / self.N - 1.0
 
     @property
     def centers(self) -> np.ndarray:
@@ -421,7 +421,11 @@ def build_theta_xi(bases, ambient: NormSpec):
 
 
 # ---------------------------------------------------------------------------
-# sampled Lipschitz constants
+# Lipschitz constants from peak pairs
+
+# the weight step h of a peak pair, whose ratio falls short of
+# coef * (slope + 1) * ||A_j u_j|| by the factor 1 - slope * h / (slope + 1)
+_PEAK_STEP = 2.0 ** -22
 
 
 def _sample_ball(rng, count: int, n: int) -> np.ndarray:
@@ -437,71 +441,39 @@ def _sample_domain(spec: LipschitzMapSpec, rng, count: int) -> np.ndarray:
     return np.hstack([x, y])
 
 
-def _adversarial_pairs(spec: LipschitzMapSpec, rng, per_site: int = 24):
-    """Pairs hugging the slope regions: straddling each breakpoint / cube
-    face within 1e-3, and same-side pairs inside the steep segments."""
-    us, vs = [], []
-    xs = _sample_ball(rng, per_site, spec.n)
-    xs[0] = 0.0
-    xs[0][0] = 1.0  # a unit-norm chart input realizes the full slope
-    hs = spec.weights
-    if isinstance(hs, HatSystem):
-        sites = np.concatenate([hs.breakpoints, hs.centers])
-        for site in sites:
-            d1 = rng.uniform(1e-6, 1e-3, size=per_site)
-            d2 = rng.uniform(1e-6, 1e-3, size=per_site)
-            t1 = np.clip(site - d1, -1.0, 1.0)
-            t2 = np.clip(site + d2, -1.0, 1.0)
-            us.append(np.column_stack([xs, t1]))
-            vs.append(np.column_stack([xs, t2]))
-        # same-side slope pairs inside each interval
-        h = 1.0 / hs.N
-        for j in range(hs.N):
-            a = hs.breakpoints[j]
-            t1 = a + 0.2 * h + rng.uniform(0, 0.1 * h, size=per_site)
-            t2 = t1 + rng.uniform(0.1 * h, 0.3 * h, size=per_site)
-            us.append(np.column_stack([xs, t1]))
-            vs.append(np.column_stack([xs, np.minimum(t2, a + h)]))
-    else:
-        ell = hs.ell
-        for k in range(ell):
-            for plane in (-1.0, 0.0, 1.0):
-                y = rng.uniform(-1.0, 1.0, size=(per_site, ell))
-                y1, y2 = y.copy(), y.copy()
-                y1[:, k] = np.clip(plane - rng.uniform(1e-6, 1e-3, per_site), -1, 1)
-                y2[:, k] = np.clip(plane + rng.uniform(1e-6, 1e-3, per_site), -1, 1)
-                us.append(np.hstack([xs, y1]))
-                vs.append(np.hstack([xs, y2]))
-        # radial pairs inside one cube: toward/away from the center
-        centers = hs.centers
-        for j in range(min(len(centers), 8)):
-            c = centers[j]
-            off = rng.uniform(-0.2, 0.2, size=(per_site, ell))
-            us.append(np.hstack([xs, c + off]))
-            vs.append(np.hstack([xs, c + off * rng.uniform(0.2, 0.8, size=(per_site, 1))]))
-    return np.vstack(us), np.vstack(vs)
+def _peak_pairs(spec: LipschitzMapSpec) -> tuple[list, list]:
+    """One domain pair per nonzero chart j, h = _PEAK_STEP apart: (u, p_j)
+    and ((1 - h) u, p_j + h e_1) at the weight peak p_j, whose ratio is
+    coef * ((slope + 1) - slope * h) * ||A_j u||.  u is a unit vector that
+    A_j stretches most: its largest row for the max norm (exact), else its
+    top right singular vector (exact for euclidean, a lower bound for l_p)."""
+    h = _PEAK_STEP
+    e1 = np.eye(spec.weights.extra_dim)[0]
+    U, V = [], []
+    for j, A in enumerate(spec.charts):
+        if not np.any(A):
+            continue
+        if spec.ambient.kind == "max":
+            u = A[np.argmax(np.linalg.norm(A, axis=1))]
+            u = u / np.linalg.norm(u)
+        else:
+            u = np.linalg.svd(A)[2][0]
+        U.append(np.r_[u, spec.weights.peak(j)])
+        V.append(np.r_[(1.0 - h) * u, spec.weights.peak(j) + h * e1])
+    return U, V
 
 
 def estimate_lipschitz(spec: LipschitzMapSpec, pairs: int = 100_000, seed: int = 0) -> float:
-    """Max sampled ratio ||F(u)-F(v)|| / ||u-v|| over uniform, local, and
-    adversarial domain pairs; a lower estimate of the true constant."""
+    """Largest ratio ||F(u)-F(v)|| / ||u-v|| over the peak pairs
+    (`_peak_pairs`) and ``pairs`` uniform domain pairs: a lower bound on the
+    map's constant coef * (slope + 1) * max_j ||A_j||, and within a factor
+    1 - 2^-22 of it wherever the peak pairs find each ||A_j||."""
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
     rng = np.random.default_rng(seed)
-    ua, va = _adversarial_pairs(spec, rng)
-    n_adv = len(ua)
-    n_uni = max(pairs - n_adv, 16)
-    u1 = _sample_domain(spec, rng, n_uni)
-    v1 = _sample_domain(spec, rng, n_uni // 2)
-    # local perturbations of the first half, fresh points for the rest
-    pert = rng.normal(scale=1e-3, size=(n_uni - n_uni // 2, spec.domain_dim))
-    v2 = u1[n_uni // 2:] + pert
-    x, y = v2[:, : spec.n], v2[:, spec.n:]
-    nx = np.linalg.norm(x, axis=1, keepdims=True)
-    x = np.where(nx > 1.0, x / nx, x)
-    v2 = np.hstack([x, np.clip(y, -1.0, 1.0)])
-    U = np.vstack([ua, u1])
-    V = np.vstack([va, np.vstack([v1, v2])])
+    peak_u, peak_v = _peak_pairs(spec)
+    U = np.vstack([*peak_u, _sample_domain(spec, rng, pairs)])
+    V = np.vstack([*peak_v, _sample_domain(spec, rng, pairs)])
     dom = np.maximum(
         np.linalg.norm(U[:, : spec.n] - V[:, : spec.n], axis=1),
         np.max(np.abs(U[:, spec.n:] - V[:, spec.n:]), axis=1),

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import entropy as ent
 from . import harness, lipschitz, mterm, widths
-from .spaces import Bracket, CompactSetModel, NormSpec, scale_set, sup_norm
+from .spaces import Bracket, CompactSetModel, NormSpec, scale_set
 
 EXPERIMENT_KINDS = (
     "entropy",
@@ -129,6 +129,14 @@ def _floats(text: str) -> list:
     return _parse_values(text, float)
 
 
+def _count(text) -> int:
+    """A size or count: an integer of at least 1."""
+    v = int(text)
+    if v < 1:
+        raise ValueError(f"must be at least 1, got {v}")
+    return v
+
+
 def _parse_window(text: str) -> tuple[int, int]:
     vals = _parse_values(text, int)
     if len(vals) != 2 or vals[0] > vals[1]:
@@ -186,11 +194,11 @@ def build_set(cfg: ExperimentConfig) -> CompactSetModel:
     scale = _option(cfg, "scale", 1.0, float)
     if set_kind == "ksigma":
         alpha = _option(cfg, "alpha", 1.0, float)
-        J = _option(cfg, "truncation", 33, int)
+        J = _option(cfg, "truncation", 33, _count)
         K = CompactSetModel.ksigma(alpha, J).as_cloud()
     elif set_kind == "cloud":
-        m = _option(cfg, "cloud_points", 32, int)
-        d = _option(cfg, "cloud_dim", 3, int)
+        m = _option(cfg, "cloud_points", 32, _count)
+        d = _option(cfg, "cloud_dim", 3, _count)
         norm_text = opts.get("cloud_norm", "euclidean")
         if norm_text == "euclidean":
             norm = NormSpec("euclidean", d)
@@ -296,14 +304,11 @@ def _run_nonlinear_width(cfg: ExperimentConfig) -> _Output:
 def _run_lipschitz(cfg: ExperimentConfig) -> _Output:
     out = _Output()
     K = build_set(cfg)
-    n = _option(cfg, "n", 1, int)
-    N = _option(cfg, "big_n", 2, int)
-    pairs = _option(cfg, "pairs", 100_000, int)
-    s = max(1e-300, sup_norm(K))
-    Ks = scale_set(K, 1.0 / s)
-    res = widths.nonlinear_width(
-        CompactSetModel.cloud(Ks.points, label=Ks.label), n, N, seed=cfg.seed
-    )
+    n = _option(cfg, "n", 1, _count)
+    N = _option(cfg, "big_n", 2, _count)
+    pairs = _option(cfg, "pairs", 100_000, _count)
+    # one width fit gives the maps' charts and the width-chain verdict
+    s, Ks, res = harness._fit_width_chain(K, n, N, cfg.seed)
     bases = res.witness.bases
     specs = {"phi": lipschitz.build_phi(bases), "psi": lipschitz.build_psi(bases)}
     if not K.norm.is_euclidean:
@@ -314,17 +319,18 @@ def _run_lipschitz(cfg: ExperimentConfig) -> _Output:
         status = harness.HOLDS if est <= spec.gamma + 1e-9 else harness.VIOLATED
         if status == harness.HOLDS:
             br = Bracket(min(est, spec.gamma), spec.gamma, exact=False,
-                         lower_method="sampled-pairs", upper_method="claimed-constant")
+                         lower_method="peak-pairs", upper_method="claimed-constant")
         else:
-            # a sampled pair proves the constant is at least est, and the
+            # a domain pair proves the constant is at least est, and the
             # claimed one is no upper bound
-            br = Bracket(est, math.inf, exact=False, lower_method="sampled-pairs",
+            br = Bracket(est, math.inf, exact=False, lower_method="peak-pairs",
                          upper_method="claimed-constant-refuted")
         _bracket_row(out, cfg, K, n, N, f"lipschitz_{name}", br, cfg.seed)
         _add_verdict(out, cfg, harness.Verdict(
             f"lipschitz-{name}-bound", status, est, (n, N),
-            f"sampled {est:.6g} vs claimed {spec.gamma:.6g} ({pairs} pairs)"))
-    _add_verdict(out, cfg, harness.check_width_chain(K, n, N, seed=cfg.seed))
+            f"estimate {est:.12g} vs claimed {spec.gamma:.12g} "
+            f"(peak pairs and {pairs} uniform pairs)"))
+    _add_verdict(out, cfg, harness._width_chain_verdict(s, Ks, res, (n, N)))
     return out
 
 
@@ -426,11 +432,11 @@ def _run_l6(cfg: ExperimentConfig) -> _Output:
 
 def _run_mterm(cfg: ExperimentConfig) -> _Output:
     out = _Output()
-    J = _option(cfg, "dict_size", 64, int)
-    n_k = _option(cfg, "n_k", 8, int)
+    J = _option(cfg, "dict_size", 64, _count)
+    n_k = _option(cfg, "n_k", 8, _count)
     a2 = _option(cfg, "a2", 2.0, float)
     m = _option(cfg, "m", 4, int)
-    count = _option(cfg, "count", 100, int)
+    count = _option(cfg, "count", 100, _count)
     V = mterm.VPOperator(n_k=n_k, A2=a2)
     rng = np.random.default_rng([cfg.seed, 1])
     worst = None

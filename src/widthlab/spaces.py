@@ -437,9 +437,12 @@ def _pnorm_center(P: np.ndarray, norm: NormSpec) -> np.ndarray:
                 return c * scale
             cuts.update(new)
             S, b = map(np.array, zip(*cuts.values()))
-            # s^T (f_i - c) <= t as -s^T c - t <= -s^T f_i
+            # s^T (f_i - c) <= t as -s^T c - t <= -s^T f_i; HiGHS's default
+            # feasibility tolerance of 1e-7 lets t fall below the optimum
             res = linprog(np.r_[np.zeros(d), 1.0], A_ub=np.hstack([-S, -np.ones((len(S), 1))]),
-                          b_ub=-b, bounds=box, method="highs")
+                          b_ub=-b, bounds=box, method="highs",
+                          options={"primal_feasibility_tolerance": 1e-10,
+                                   "dual_feasibility_tolerance": 1e-10})
             if not res.success:
                 raise RuntimeError(f"l1 center LP failed: {res.message}")
             c, t = res.x[:d], res.x[d]

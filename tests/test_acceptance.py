@@ -260,7 +260,7 @@ def test_acceptance_05_lipschitz_constants():
     if elapsed >= 60:
         ok = False
         msgs.append(f"runtime {elapsed:.1f}s >= 60s")
-    _finish(5, "sampled Lipschitz constants within claimed bounds",
+    _finish(5, "peak-pair Lipschitz estimates within claimed bounds",
             ok, f" [{elapsed:.1f}s]" + ("; " + "; ".join(msgs) if msgs else ""))
 
 

@@ -511,7 +511,7 @@ class FullMatrixGeom:
     """The geometry before rows on demand: one whole distance matrix per
     call, every row and the one-center radius read from it."""
 
-    def __init__(self, K):
+    def __init__(self, K, keep_rows=False):
         cloud = K.as_cloud()
         self.model, self.pts, self.norm = cloud, cloud.points, cloud.norm
         self.m = self.pts.shape[0]
@@ -605,6 +605,31 @@ def test_large_entropy_number_keeps_no_distance_matrix():
     assert peak < 8 * 2**20
     with mock.patch.object(entropy, "_Geom", FullMatrixGeom):
         assert entropy_number(K, 3) == br
+
+
+def _result_key(r):
+    if isinstance(r, entropy.CoverResult):
+        return r.cardinality, r.centers.tobytes()
+    if isinstance(r, PackingResult):
+        return r.cardinality, r.exact, r.points.tobytes()
+    return r
+
+
+@pytest.mark.parametrize("fn", [cover_number, packing_number, greedy_cover, max_packing])
+def test_single_pass_calls_keep_no_distance_rows(fn):
+    # at eps = 1e-6 every point gets a ball of its own, so keeping each row
+    # read would add up to the whole 3000 x 3000 matrix (68.7 MiB)
+    K = CompactSetModel.cloud(np.random.default_rng(0).normal(size=(3000, 3)))
+    K.norm.pairwise(K.points[:2])  # imports scipy untraced
+    tracemalloc.start()
+    try:
+        got = fn(K, 1e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    with mock.patch.object(entropy, "_Geom", FullMatrixGeom):
+        assert _result_key(got) == _result_key(fn(K, 1e-6))
 
 
 def test_sequence_embedding_is_cached(monkeypatch):

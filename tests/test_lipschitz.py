@@ -32,13 +32,18 @@ def spans(*cols):
     return out
 
 
+def hat_breakpoints(N):
+    """The N + 1 ends a_j = 2j/N - 1 of the hat cells."""
+    return 2.0 * np.arange(N + 1) / N - 1.0
+
+
 def test_hat_system_geometry():
     hs = HatSystem(4)
-    assert np.allclose(hs.breakpoints, [-1, -0.5, 0, 0.5, 1])
+    assert np.allclose(hs.centers, [-0.75, -0.25, 0.25, 0.75])
     j = hs.locate(hs.centers)
     assert np.allclose(hs.value(j, hs.centers), 1.0)
-    jb = hs.locate(hs.breakpoints[:-1])
-    assert np.allclose(hs.value(jb, hs.breakpoints[:-1]), 0.0)
+    jb = hs.locate(hat_breakpoints(4)[:-1])
+    assert np.allclose(hs.value(jb, hat_breakpoints(4)[:-1]), 0.0)
 
 
 def test_cube_bumps_geometry():
@@ -64,7 +69,7 @@ def test_phi_anchor_and_breakpoints():
     c0 = spec.weights.centers[0]
     out = spec.evaluate(np.array([[1.0, c0]]))[0]
     assert np.allclose(out, [1.0, 0.0], atol=1e-12)
-    for a in spec.weights.breakpoints:
+    for a in hat_breakpoints(spec.weights.N):
         out = spec.evaluate(np.array([[0.7, a]]))[0]
         assert np.allclose(out, 0.0, atol=1e-12)
 
@@ -102,6 +107,96 @@ def test_constant_map_estimate_zero():
         ambient=NormSpec("euclidean", 2), gamma=0.0, coef=1.0,
     )
     assert estimate_lipschitz(spec, pairs=2000, seed=1) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Lipschitz constants from peak pairs
+
+
+def sampler_estimate(spec, pairs, seed):
+    """The randomized estimate that the peak pairs replace: uniform pairs,
+    1e-3 perturbations of half of them, and pairs straddling each hat
+    breakpoint or cube face (or moving within one cell) within 1e-3."""
+    from widthlab.lipschitz import _sample_ball, _sample_domain
+
+    rng = np.random.default_rng(seed)
+    per_site, us, vs = 24, [], []
+    xs = _sample_ball(rng, per_site, spec.n)
+    xs[0] = 0.0
+    xs[0][0] = 1.0
+    hs = spec.weights
+    if isinstance(hs, HatSystem):
+        for site in np.concatenate([hat_breakpoints(hs.N), hs.centers]):
+            t1 = np.clip(site - rng.uniform(1e-6, 1e-3, size=per_site), -1.0, 1.0)
+            t2 = np.clip(site + rng.uniform(1e-6, 1e-3, size=per_site), -1.0, 1.0)
+            us.append(np.column_stack([xs, t1]))
+            vs.append(np.column_stack([xs, t2]))
+        h = 1.0 / hs.N
+        for j in range(hs.N):
+            a = hat_breakpoints(hs.N)[j]
+            t1 = a + 0.2 * h + rng.uniform(0, 0.1 * h, size=per_site)
+            t2 = t1 + rng.uniform(0.1 * h, 0.3 * h, size=per_site)
+            us.append(np.column_stack([xs, t1]))
+            vs.append(np.column_stack([xs, np.minimum(t2, a + h)]))
+    else:
+        ell = hs.ell
+        for k in range(ell):
+            for plane in (-1.0, 0.0, 1.0):
+                y = rng.uniform(-1.0, 1.0, size=(per_site, ell))
+                y1, y2 = y.copy(), y.copy()
+                y1[:, k] = np.clip(plane - rng.uniform(1e-6, 1e-3, per_site), -1, 1)
+                y2[:, k] = np.clip(plane + rng.uniform(1e-6, 1e-3, per_site), -1, 1)
+                us.append(np.hstack([xs, y1]))
+                vs.append(np.hstack([xs, y2]))
+        for c in hs.centers[:8]:
+            off = rng.uniform(-0.2, 0.2, size=(per_site, ell))
+            us.append(np.hstack([xs, c + off]))
+            vs.append(np.hstack([xs, c + off * rng.uniform(0.2, 0.8, size=(per_site, 1))]))
+    ua, va = np.vstack(us), np.vstack(vs)
+    n_uni = max(pairs - len(ua), 16)
+    u1 = _sample_domain(spec, rng, n_uni)
+    v1 = _sample_domain(spec, rng, n_uni // 2)
+    v2 = u1[n_uni // 2:] + rng.normal(scale=1e-3, size=(n_uni - n_uni // 2, spec.domain_dim))
+    x, y = v2[:, : spec.n], v2[:, spec.n:]
+    nx = np.linalg.norm(x, axis=1, keepdims=True)
+    v2 = np.hstack([np.where(nx > 1.0, x / nx, x), np.clip(y, -1.0, 1.0)])
+    U, V = np.vstack([ua, u1]), np.vstack([va, v1, v2])
+    dom = np.maximum(np.linalg.norm(U[:, : spec.n] - V[:, : spec.n], axis=1),
+                     np.max(np.abs(U[:, spec.n:] - V[:, spec.n:]), axis=1))
+    ok = dom > 1e-15
+    num = np.asarray(spec.ambient.norm(spec.evaluate(U[ok]) - spec.evaluate(V[ok])), dtype=float)
+    return float(np.max(num.reshape(-1) / dom[ok]))
+
+
+def _peak_pair_maps(N, n):
+    """phi and psi, and theta and xi in the euclidean and max norms (and in
+    l1 and l1.5 for n = 1, whose John charts build fast only there), over N
+    random n-dimensional charts in R^4."""
+    rng = np.random.default_rng([47, N, n])
+    bases = [np.linalg.qr(rng.normal(size=(4, n)))[0] for _ in range(N)]
+    norms = [NormSpec("euclidean", 4), NormSpec("max", 4)]
+    if n == 1:
+        norms += [NormSpec("pnorm", 4, p=1.0), NormSpec("pnorm", 4, p=1.5)]
+    return [build_phi(bases), build_psi(bases)] + [
+        spec for norm in norms for spec in build_theta_xi(bases, norm)]
+
+
+@pytest.mark.parametrize("N", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2])
+def test_peak_pairs_reach_the_claimed_constant(N, n):
+    # the peak pair's ratio is gamma * (1 - slope * 2^-22 / (slope + 1))
+    for spec in _peak_pair_maps(N, n):
+        est = estimate_lipschitz(spec, pairs=2000, seed=N)
+        assert spec.gamma * (1 - 1e-6) <= est <= spec.gamma + 1e-9, (spec.weights, spec.ambient)
+        assert est >= sampler_estimate(spec, pairs=2000, seed=N)
+
+
+def test_peak_pairs_refute_an_understated_constant():
+    # charts of norm 1.5 under a constant claimed for norm 1
+    for spec in (build_phi(spans(0, 1)), build_psi(spans(0, 1, 2))):
+        wide = replace(spec, charts=tuple(1.5 * A for A in spec.charts))
+        assert estimate_lipschitz(wide, pairs=1) == pytest.approx(1.5 * spec.gamma, rel=1e-6)
+        assert estimate_lipschitz(wide, pairs=1) > wide.gamma + 1e-9
 
 
 def test_john_examples():
@@ -215,7 +310,7 @@ def test_theta_xi_euclidean_reduces_to_scaled_hats():
     assert xi.gamma == pytest.approx(6.0)
     est = estimate_lipschitz(theta, pairs=20_000, seed=4)
     assert est <= theta.gamma + 1e-9
-    for a in theta.weights.breakpoints:
+    for a in hat_breakpoints(theta.weights.N):
         z = np.array([0.3, a])
         assert np.allclose(theta.evaluate(z)[0], 0.0, atol=1e-12)
     with pytest.raises(ValueError):

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from widthlab import lipschitz
+from widthlab import harness, lipschitz, widths
 from widthlab.cli import main
 from widthlab.runner import ConfigError, parse_config, run
+from widthlab.widths import nonlinear_width
 
 SMOKE = """
 [ks-repro]
@@ -154,6 +155,10 @@ def test_bad_cloud_norm_is_a_config_error(tmp_path, capsys, norm):
     ("kind = carl\nwindow = 5,2", "[e] window: must be 'lo,hi' with lo <= hi, got '5,2'"),
     ("kind = carl\nd_series = 1,2", "[e] e_series: required"),
     ("kind = mterm\nseed = x", "[e] seed: invalid literal for int() with base 10: 'x'"),
+    ("kind = entropy\nset = cloud\ncloud_points = 0\nseed = 3",
+     "[e] cloud_points: must be at least 1, got 0"),
+    ("kind = lipschitz\npairs = 0\nseed = 3", "[e] pairs: must be at least 1, got 0"),
+    ("kind = mterm\ncount = 0\nseed = 3", "[e] count: must be at least 1, got 0"),
 ])
 def test_bad_option_value_is_a_config_error(tmp_path, capsys, jobs, section, message):
     p = tmp_path / "bad.cfg"
@@ -306,7 +311,7 @@ def test_refuted_lipschitz_constant_is_reported(tmp_path, monkeypatch):
     assert code == 0
     for name in ("phi", "psi"):
         row = rows[f"lipschitz_{name}"]
-        assert row["method"] == "sampled-pairs/claimed-constant"
+        assert row["method"] == "peak-pairs/claimed-constant"
         assert float(row["lower"]) <= float(row["upper"]) < math.inf
         assert verdicts[f"lip:lipschitz-{name}-bound"]["status"] == "holds"
 
@@ -317,11 +322,26 @@ def test_refuted_lipschitz_constant_is_reported(tmp_path, monkeypatch):
     for name in ("phi", "psi"):
         row = rows[f"lipschitz_{name}"]
         gamma = float(verdicts[f"lip:lipschitz-{name}-bound"]["witness"]) / 1.5
-        assert row["method"] == "sampled-pairs/claimed-constant-refuted"
+        assert row["method"] == "peak-pairs/claimed-constant-refuted"
         assert float(row["lower"]) == pytest.approx(1.5 * gamma, rel=1e-12)
         assert float(row["upper"]) == math.inf
         assert row["exact"] == "false"
         assert verdicts[f"lip:lipschitz-{name}-bound"]["status"] == "violated"
+
+
+def test_lipschitz_section_fits_its_width_witness_once(tmp_path, monkeypatch):
+    # the maps' charts and the width-chain verdict share one fit
+    calls = []
+
+    def spy(K, n, N, **kwargs):
+        calls.append((n, N))
+        return nonlinear_width(K, n, N, **kwargs)
+
+    monkeypatch.setattr(widths, "nonlinear_width", spy)
+    monkeypatch.setattr(harness, "nonlinear_width", spy)
+    code, rows, verdicts = _lipschitz_rows(tmp_path, "spy")
+    assert code == 0 and calls == [(1, 2)]
+    assert verdicts["lip:width-chain"]["status"] == "holds"
 
 
 NON_EUCLIDEAN = "".join(f"""

@@ -282,7 +282,11 @@ def l1_center_oracle(pts):
     S = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
     A = np.hstack([-np.tile(S, (m, 1)), -np.ones((m * len(S), 1))])
     b = -(pts @ S.T).ravel()
-    res = linprog(np.r_[np.zeros(d), 1.0], A_ub=A, b_ub=b, bounds=(None, None), method="highs")
+    # at HiGHS's default feasibility tolerance of 1e-7 the optimum can read
+    # below the half-diameter
+    res = linprog(np.r_[np.zeros(d), 1.0], A_ub=A, b_ub=b, bounds=(None, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
     assert res.success
     return float(res.fun)
 
@@ -292,6 +296,11 @@ def l1_center_oracle(pts):
        st.sampled_from([1.0, 1.5, 3.0]))
 @example([[0.0, 0.0], [0.0, 0.0]], 1.0)
 @example([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], 1.5)
+# two l1 clouds where the LPs at HiGHS's default feasibility tolerance miss
+# the radius 1.0000000596: the oracle's read 1.0000000298, the center's upper
+# side 1.0000001192
+@example([[0, 0, 0], [0, 1, 0], [0, -1.192092896e-07, 1], [1, 0, 0]], 1.0)
+@example([[0, 0, 0], [0, 0, 0], [0, 1, 1.0000001192092896], [0, 0, 2]], 1.0)
 def test_pnorm_chebyshev_radius_against_descent_and_l1_oracle(pts, p):
     P = np.array(pts)
     norm = NormSpec("pnorm", P.shape[1], p=p)
