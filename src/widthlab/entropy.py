@@ -202,9 +202,10 @@ def _ball_masks(D: np.ndarray, eps: float) -> list[int]:
 
 def _bisect(pred, lo: float, hi: float) -> tuple[float, float]:
     """Halve [lo, hi] around the switch of a monotone predicate (true moves
-    hi down, false moves lo up) until it is at most _TOL wide."""
+    hi down, false moves lo up) until it is at most _TOL * hi wide, so the
+    probes scale with the radii."""
     for _ in range(200):
-        if hi - lo <= _TOL:
+        if hi - lo <= _TOL * hi:
             break
         mid = 0.5 * (lo + hi)
         if pred(mid):
@@ -422,7 +423,6 @@ def cover_number(K: CompactSetModel, eps: float, inner: bool = True) -> Bracket:
     """
     _check_radius(eps)
     geom = _Geom(K)
-    lower = max(len(_greedy_packing_indices(geom, 2 * eps)), 1)
     upper = _cover_count(geom, eps, inner)
     method = _cover_method(geom, inner)
     if inner and geom.small:
@@ -432,6 +432,7 @@ def cover_number(K: CompactSetModel, eps: float, inner: bool = True) -> Bracket:
             return Bracket(v, v, exact=True,
                            lower_method="branch-bound", upper_method="branch-bound")
         method += "|branch-bound-partial"
+    lower = max(len(_greedy_packing_indices(geom, 2 * eps)), 1)
     return Bracket(float(min(lower, upper)), float(upper), exact=False,
                    lower_method="packing-2eps", upper_method=method)
 
@@ -506,8 +507,9 @@ def entropy_number(K: CompactSetModel, n: int, inner: bool = True) -> Bracket:
     bisects `_cover_count`, the rule `cover_number` uses (the greedy cover,
     and for outer numbers within the limit the candidate-pool greedy set
     cover), and the lower side keeps the largest radius at which a packing at
-    doubled radius shows that 2^n balls cannot suffice, both to width 1e-9.
-    Any inner cover is an outer cover, so an outer upper side within the
+    doubled radius shows that 2^n balls cannot suffice, both to 1e-9 relative;
+    a bracket whose sides meet, as [0, 0] on at most 2^n distinct points, is
+    exact.  Any inner cover is an outer cover, so an outer upper side within the
     limit is at most the exact inner number (tagged `inner-branch-bound`
     when that is lower).
     """
@@ -532,22 +534,27 @@ def entropy_number(K: CompactSetModel, n: int, inner: bool = True) -> Bracket:
     def upper_feasible(eps: float) -> bool:
         return _cover_count(geom, eps, inner, stop_after=target) <= target
 
-    # a single greedy ball of diameter radius always covers
-    hi = hi0 if upper_feasible(hi0) else _diameter(geom.pts, geom.norm) * (1 + 1e-9) + 1e-12
+    if upper_feasible(0.0):
+        hi = 0.0  # at most 2^n distinct points
+    elif upper_feasible(hi0):
+        hi = hi0
+    else:
+        # a single greedy ball of diameter radius always covers
+        hi = _diameter(geom.pts, geom.norm) * (1 + 1e-9)
     upper = _bisect(upper_feasible, 0.0, hi)[1]
 
     def no_certificate(eps: float) -> bool:
         # any 2eps-packing larger than the ball budget rules the radius out
         return len(_greedy_packing_indices(geom, 2 * eps, stop_after=target)) <= target
 
-    start = min(_TOL, upper) * 1e-3
+    start = upper * _TOL * 1e-3
     lower = 0.0 if no_certificate(start) else _bisect(no_certificate, start, upper)[0]
     upper_method = _cover_method(geom, inner)
     if geom.small and exact is None:
         upper_method += "|branch-bound-partial"
     elif exact is not None and exact < upper:
         upper, upper_method = exact, "inner-branch-bound"
-    return Bracket(min(lower, upper), upper, exact=False,
+    return Bracket(min(lower, upper), upper, exact=lower >= upper,
                    lower_method="packing-cert", upper_method=upper_method)
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import cover_number, entropy_number, packing_number
+from .entropy import cover_number, entropy_number, ksigma_inner_entropy_attained, packing_number
 from .lipschitz import build_psi, build_theta_xi, fixed_width_upper
-from .spaces import Bracket, CompactSetModel, scale_set, sup_norm
+from .spaces import Bracket, CompactSetModel, scale_set, sigma_value, sup_norm
 from .widths import nonlinear_width
 
 __all__ = [
@@ -91,8 +91,6 @@ def witness_envelope(check, windows) -> list[Verdict]:
 
 
 def _series_get(series, k: int) -> Bracket:
-    if callable(series):
-        return series(k)
     try:
         return series[k]
     except KeyError:
@@ -105,8 +103,6 @@ def _series_get(series, k: int) -> Bracket:
 
 def ksigma_inner_entropy_series(alpha: float, indices) -> dict[int, Bracket]:
     """Exact inner entropy values s_{2^k} (zero-hub covers attain them)."""
-    from .entropy import ksigma_inner_entropy_attained
-
     return {
         k: Bracket.exactly(ksigma_inner_entropy_attained(alpha, k), "hub-cover")
         for k in indices
@@ -115,8 +111,6 @@ def ksigma_inner_entropy_series(alpha: float, indices) -> dict[int, Bracket]:
 
 def ksigma_entropy_series(alpha: float, indices) -> dict[int, Bracket]:
     """Outer entropy brackets [s_{2^k}/2, s_{2^k}] via the inner/outer halving."""
-    from .entropy import ksigma_inner_entropy_attained
-
     out = {}
     for k in indices:
         v = ksigma_inner_entropy_attained(alpha, k)
@@ -128,8 +122,6 @@ def ksigma_entropy_series(alpha: float, indices) -> dict[int, Bracket]:
 def ksigma_linear_width_series(alpha: float, dims) -> dict[int, Bracket]:
     """Coordinate-span width bounds d_j <= s_{j+1}, used as the reference
     width sequence (consequence-direction checks)."""
-    from .spaces import sigma_value
-
     return {
         j: Bracket.exactly(sigma_value(alpha, j + 1.0), "coordinate-span-bound")
         for j in dims
@@ -139,22 +131,17 @@ def ksigma_linear_width_series(alpha: float, dims) -> dict[int, Bracket]:
 def ksigma_nonlinear_width_series(alpha: float, schedule, ms) -> dict[int, Bracket]:
     """Block-coordinate width bounds for d_{m-1}(K, N(m)) with N(m) from the
     schedule ("lambda", lam) -> lam^m or ("power", a) -> m^(a m)."""
-    from .spaces import sigma_value
-
     kind, p = schedule
     out = {}
     for m in ms:
-        if m == 1:
-            v = sigma_value(alpha, 1.0)
+        if kind == "lambda":
+            N = float(p) ** m
+        elif kind == "power":
+            N = float(m) ** (p * m)
         else:
-            if kind == "lambda":
-                N = float(p) ** m
-            elif kind == "power":
-                N = float(m) ** (p * m)
-            else:
-                raise ValueError(f"unknown schedule {kind!r}")
-            v = sigma_value(alpha, (m - 1.0) * N + 1.0)
-        out[m] = Bracket.exactly(v, "block-coordinate-bound")
+            raise ValueError(f"unknown schedule {kind!r}")
+        out[m] = Bracket.exactly(sigma_value(alpha, (m - 1.0) * N + 1.0),
+                                 "block-coordinate-bound")
     return out
 
 
@@ -162,16 +149,22 @@ def ksigma_nonlinear_width_series(alpha: float, schedule, ms) -> dict[int, Brack
 # weighted-maximum domination checks
 
 
-def _weighted_max(series, exponent: float, ks, side: str) -> float:
-    vals = []
-    for k in ks:
-        br = _series_get(series, k)
-        v = br.upper if side == "upper" else br.lower
-        vals.append(float(k) ** exponent * v)
-    return max(vals)
+def _domination(name: str, label: str, e_series, e_index, d_series, d_index,
+                r: float, window: tuple[int, int]) -> Verdict:
+    """Minimal C with max_k k^r e_{e_index(k)} <= C max_m m^r d_{d_index(m)}
+    over the window, on certified sides: the upper LHS over the lower RHS."""
+    lo, hi = window
+    ks = range(max(lo, 1), hi + 1)
+    if not ks:
+        raise ValueError("empty window")
 
+    def weighted_maxima(series, index):
+        terms = [(float(k) ** r, _series_get(series, index(k))) for k in ks]
+        return max(w * br.upper for w, br in terms), max(w * br.lower for w, br in terms)
 
-def _domination_verdict(name, lhs_low, lhs_up, rhs_low, rhs_up, window, details):
+    lhs_up, lhs_low = weighted_maxima(e_series, e_index)
+    rhs_up, rhs_low = weighted_maxima(d_series, d_index)
+    details = f"{label}; weighted maxima LHS<= {lhs_up:.6g}, RHS>= {rhs_low:.6g}"
     if rhs_low > 0:
         return Verdict(name, HOLDS, lhs_up / rhs_low, window, details)
     if lhs_up <= 0:
@@ -188,16 +181,8 @@ def check_carl(e_series, d_series, r: float, window: tuple[int, int]) -> Verdict
 
     e is indexed by the entropy order k, d by subspace dimension (m-1).
     """
-    lo, hi = window
-    ks = range(max(lo, 1), hi + 1)
-    if not len(list(ks)):
-        raise ValueError("empty window")
-    lhs_up = _weighted_max(e_series, r, ks, "upper")
-    lhs_low = _weighted_max(e_series, r, ks, "lower")
-    rhs_up = max(float(m) ** r * _series_get(d_series, m - 1).upper for m in ks)
-    rhs_low = max(float(m) ** r * _series_get(d_series, m - 1).lower for m in ks)
-    details = f"r={r:g}; weighted maxima LHS<= {lhs_up:.6g}, RHS>= {rhs_low:.6g}"
-    return _domination_verdict("carl", lhs_low, lhs_up, rhs_low, rhs_up, window, details)
+    return _domination("carl", f"r={r:g}", e_series, lambda k: k,
+                       d_series, lambda m: m - 1, r, window)
 
 
 def check_generalized_carl(e_series, d_series, r: float, schedule,
@@ -209,24 +194,14 @@ def check_generalized_carl(e_series, d_series, r: float, schedule,
     d_{m-1}(K, m^(a m)).
     """
     kind, p = schedule
-    lo, hi = window
-    ks = list(range(max(lo, 1), hi + 1))
-    if not ks:
-        raise ValueError("empty window")
-    if kind == "lambda":
-        e_idx = {k: k for k in ks}
-    elif kind == "power":
-        e_idx = {k: max(0, math.ceil((p + r) * k * math.log2(k))) for k in ks}
-    else:
+    if kind not in ("lambda", "power"):
         raise ValueError(f"unknown schedule {kind!r}")
-    lhs_up = max(float(k) ** r * _series_get(e_series, e_idx[k]).upper for k in ks)
-    lhs_low = max(float(k) ** r * _series_get(e_series, e_idx[k]).lower for k in ks)
-    rhs_up = max(float(m) ** r * _series_get(d_series, m).upper for m in ks)
-    rhs_low = max(float(m) ** r * _series_get(d_series, m).lower for m in ks)
-    name = f"generalized-carl-{kind}"
-    details = (f"r={r:g}, {kind}={p:g}; weighted maxima LHS<= {lhs_up:.6g}, "
-               f"RHS>= {rhs_low:.6g}")
-    return _domination_verdict(name, lhs_low, lhs_up, rhs_low, rhs_up, window, details)
+
+    def e_index(k):
+        return k if kind == "lambda" else max(0, math.ceil((p + r) * k * math.log2(k)))
+
+    return _domination(f"generalized-carl-{kind}", f"r={r:g}, {kind}={p:g}",
+                       e_series, e_index, d_series, lambda m: m, r, window)
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +290,8 @@ def check_entropy_from_width(K: CompactSetModel, n: int, N: int, seed: int = 0) 
     c_implied = eps * (mu / N) ** (1.0 / n)
     details = (f"scale={applied_scale:.6g}, eps={eps:.6g}, mu={mu}, "
                f"entropy index {m_ent}, inner entropy upper {te.upper:.6g}")
-    if te.upper <= 3 * eps + 1e-12:
-        return Verdict("entropy-from-width", HOLDS, c_implied, window, details)
-    if te.lower > 3 * eps + 1e-12:
-        return Verdict("entropy-from-width", VIOLATED, c_implied, window, details)
-    return Verdict("entropy-from-width", INDETERMINATE, c_implied, window, details)
+    return Verdict("entropy-from-width", bracket_leq(te, Bracket.exactly(3 * eps), tol=1e-12),
+                   c_implied, window, details)
 
 
 # ---------------------------------------------------------------------------
@@ -384,50 +356,39 @@ def fit_rate(series, model: str, window: tuple[int, int]) -> RateFit:
     if len(ns) < 4:
         raise ValueError("window too small for a fit (need >= 4 usable points)")
     sw = np.sqrt(weights)
-    y = np.log(mids)
-    if model == "log-only":
-        x = np.log(np.log2(ns))
-        A = np.column_stack([np.ones_like(x), -x])
+
+    def wls(A, y):
+        """Weighted least squares: coefficients and weighted residuals."""
         coef, *_ = np.linalg.lstsq(A * sw[:, None], y * sw, rcond=None)
+        return coef, (y - A @ coef) * sw
+
+    if model == "log-only":
+        A = np.column_stack([np.ones_like(ns), -np.log(np.log2(ns))])
+        coef, resid = wls(A, np.log(mids))
         params = {"C": math.exp(coef[0]), "alpha": float(coef[1])}
-        resid = y - A @ coef
     elif model == "poly-log":
         A = np.column_stack([np.ones_like(ns), np.log(np.log2(ns)), -np.log(ns)])
-        coef, *_ = np.linalg.lstsq(A * sw[:, None], y * sw, rcond=None)
+        coef, resid = wls(A, np.log(mids))
         params = {"C": math.exp(coef[0]), "beta": float(coef[1]), "alpha": float(coef[2])}
-        resid = y - A @ coef
     elif model == "stretched-exp":
         if np.any(mids <= 0):
             raise ValueError("stretched-exp fit needs positive series values")
-        y2 = np.log2(mids)
+        from scipy.optimize import minimize_scalar
 
-        def fit_alpha(a):
-            A = np.column_stack([np.ones_like(ns), -(ns**a)])
-            coef, *_ = np.linalg.lstsq(A * sw[:, None], y2 * sw, rcond=None)
-            r = (y2 - A @ coef) * sw
-            return float(r @ r), coef
+        def stretched(a):
+            return wls(np.column_stack([np.ones_like(ns), -(ns**a)]), np.log2(mids))
 
-        golden = (math.sqrt(5) - 1) / 2
-        a, b = 0.02, 0.98
-        c1, c2 = b - golden * (b - a), a + golden * (b - a)
-        f1, f2 = fit_alpha(c1)[0], fit_alpha(c2)[0]
-        for _ in range(60):
-            if f1 <= f2:
-                b, c2, f2 = c2, c1, f1
-                c1 = b - golden * (b - a)
-                f1 = fit_alpha(c1)[0]
-            else:
-                a, c1, f1 = c1, c2, f2
-                c2 = a + golden * (b - a)
-                f2 = fit_alpha(c2)[0]
-        alpha_hat = c1 if f1 <= f2 else c2
-        _, coef = fit_alpha(alpha_hat)
-        params = {"C": 2.0 ** coef[0], "c": float(coef[1]), "alpha": float(alpha_hat)}
-        A = np.column_stack([np.ones_like(ns), -(ns**alpha_hat)])
-        resid = y2 - A @ coef
+        def sse(a):
+            resid = stretched(a)[1]
+            return float(resid @ resid)
+
+        alpha_hat = float(minimize_scalar(sse, bounds=(0.02, 0.98), method="bounded",
+                                          options={"xatol": 1e-10}).x)
+        coef, resid = stretched(alpha_hat)
+        params = {"C": 2.0 ** coef[0], "c": float(coef[1]), "alpha": alpha_hat}
     else:
         raise ValueError(f"unknown model {model!r}")
-    residual = math.sqrt(float((resid * sw) @ (resid * sw)) / float(weights.sum()))
+    residual = math.sqrt(float(resid @ resid) / float(weights.sum()))
     return RateFit(model, params, residual)
 
 

@@ -29,33 +29,8 @@ from . import entropy as ent
 from . import harness, lipschitz, mterm, widths
 from .spaces import Bracket, CompactSetModel, NormSpec, scale_set
 
-EXPERIMENT_KINDS = (
-    "entropy",
-    "linear-width",
-    "nonlinear-width",
-    "lipschitz",
-    "carl",
-    "entropy-from-width",
-    "L6",
-    "mterm",
-    "ksigma-reproduce",
-)
-
 _COMMON_KEYS = {"kind", "seed", "set", "alpha", "truncation", "scale",
                 "cloud_points", "cloud_dim", "cloud_norm"}
-_KIND_KEYS = {
-    "entropy": {"n_values", "eps_values", "sides"},
-    "linear-width": {"n_values"},
-    "nonlinear-width": {"n_values", "big_n_values"},
-    "lipschitz": {"n", "big_n", "pairs"},
-    "carl": {"r_values", "window", "lambda", "a", "e_series", "d_series"},
-    "entropy-from-width": {"n_values", "big_n_values"},
-    "L6": {"alpha_exp", "beta_exp", "lambda", "window"},
-    "mterm": {"dict_size", "n_k", "a2", "m", "count"},
-    "ksigma-reproduce": {"n_values", "window"},
-}
-_STOCHASTIC_KINDS = {"entropy", "linear-width", "nonlinear-width", "lipschitz",
-                     "entropy-from-width", "mterm"}
 
 
 class ConfigError(ValueError):
@@ -167,16 +142,16 @@ def parse_config(path: str | Path) -> list[ExperimentConfig]:
         kind = raw.get("kind")
         if kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"[{section}] kind: unknown experiment kind {kind!r}")
-        allowed = _COMMON_KEYS | _KIND_KEYS[kind]
+        _, keys, seeded = EXPERIMENT_KINDS[kind]
         for key in raw:
-            if key not in allowed:
+            if key not in _COMMON_KEYS | keys:
                 raise ConfigError(f"[{section}] {key}: unknown key for kind {kind}")
         try:
             seed = int(raw["seed"]) if "seed" in raw else None
         except ValueError as exc:
             raise ConfigError(f"[{section}] seed: {exc}") from None
         set_kind = raw.get("set", "ksigma")
-        if seed is None and (kind in _STOCHASTIC_KINDS or set_kind == "cloud"):
+        if seed is None and (seeded or set_kind == "cloud"):
             raise ConfigError(f"[{section}] seed: required for stochastic experiments")
         experiments.append(ExperimentConfig(section, kind, raw, seed))
     if not experiments:
@@ -463,7 +438,7 @@ def _run_ksigma_reproduce(cfg: ExperimentConfig) -> _Output:
     alpha = _option(cfg, "alpha", 1.0, float)
     ns = _option(cfg, "n_values", "1,2,3,4,5,6", _parse_values)
     series = {}
-    all_ok = True
+    nested_ok = attained_ok = True
     for n in ns:
         K = CompactSetModel.ksigma(alpha, truncation=2**n + 8)
         br = ent.entropy_number(K, n, inner=True)
@@ -471,12 +446,17 @@ def _run_ksigma_reproduce(cfg: ExperimentConfig) -> _Output:
         _bracket_row(out, cfg, K, n, None, "inner_entropy", br, cfg.seed)
         _bracket_row(out, cfg, K, n, None, "inner_entropy_closed_form",
                      Bracket.exactly(cf, "nested-cover-formula"), cfg.seed)
-        all_ok &= br.contains(cf, slack=K.tail_gap + 1e-9)
+        nested_ok &= br.contains(cf, slack=K.tail_gap + 1e-9)
+        attained = ent.ksigma_inner_entropy_attained(alpha, n)
+        attained_ok &= br.contains(attained, slack=1e-9 * max(1.0, attained))
         series[n] = Bracket.exactly(cf)
-    status = harness.HOLDS if all_ok else harness.VIOLATED
-    _add_verdict(out, cfg, harness.Verdict(
-        "ksigma-entropy-containment", status, None, (min(ns), max(ns)),
-        "numeric bracket contains the closed form within 1e-9 + tail gap"))
+    for check, ok, details in (
+            ("ksigma-entropy-containment", nested_ok,
+             "numeric bracket contains the closed form within 1e-9 + tail gap"),
+            ("ksigma-entropy-attained", attained_ok,
+             "numeric bracket contains the attained s_{2^n} within 1e-9 relative")):
+        _add_verdict(out, cfg, harness.Verdict(
+            check, harness.HOLDS if ok else harness.VIOLATED, None, (min(ns), max(ns)), details))
     window = _option(cfg, "window", f"{max(3, min(ns))},{max(ns)}", _parse_window)
     usable = {n: series[n] for n in series if window[0] <= n <= window[1]}
     if len(usable) >= 4:
@@ -484,16 +464,17 @@ def _run_ksigma_reproduce(cfg: ExperimentConfig) -> _Output:
     return out
 
 
-_RUNNERS = {
-    "entropy": _run_entropy,
-    "linear-width": _run_linear_width,
-    "nonlinear-width": _run_nonlinear_width,
-    "lipschitz": _run_lipschitz,
-    "carl": _run_carl,
-    "entropy-from-width": _run_entropy_from_width,
-    "L6": _run_l6,
-    "mterm": _run_mterm,
-    "ksigma-reproduce": _run_ksigma_reproduce,
+# kind -> (section body, the keys it reads beyond _COMMON_KEYS, needs a seed)
+EXPERIMENT_KINDS = {
+    "entropy": (_run_entropy, {"n_values", "eps_values", "sides"}, True),
+    "linear-width": (_run_linear_width, {"n_values"}, True),
+    "nonlinear-width": (_run_nonlinear_width, {"n_values", "big_n_values"}, True),
+    "lipschitz": (_run_lipschitz, {"n", "big_n", "pairs"}, True),
+    "carl": (_run_carl, {"r_values", "window", "lambda", "a", "e_series", "d_series"}, False),
+    "entropy-from-width": (_run_entropy_from_width, {"n_values", "big_n_values"}, True),
+    "L6": (_run_l6, {"alpha_exp", "beta_exp", "lambda", "window"}, False),
+    "mterm": (_run_mterm, {"dict_size", "n_k", "a2", "m", "count"}, True),
+    "ksigma-reproduce": (_run_ksigma_reproduce, {"n_values", "window"}, False),
 }
 
 
@@ -529,7 +510,7 @@ def _work(cfg: ExperimentConfig) -> tuple[_Output, float]:
     """Run one section; returns its output and elapsed milliseconds."""
     t0 = time.perf_counter()
     try:
-        result = _RUNNERS[cfg.kind](cfg)
+        result = EXPERIMENT_KINDS[cfg.kind][0](cfg)
     except ConfigError:
         raise
     except Exception as exc:

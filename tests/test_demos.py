@@ -1,11 +1,15 @@
-"""Smoke test: every demo script runs to completion and prints its walk-through."""
+"""Smoke tests: every demo script runs to completion and prints its walk-through,
+and the shipped smoke config runs clean through the command line entry point."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from widthlab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
@@ -22,3 +26,12 @@ def test_demo_runs(demo):
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip()
+
+
+def test_shipped_smoke_config_runs(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", str(ROOT / "demos" / "configs" / "smoke.cfg"),
+                 "--out", str(out), "--quiet"]) == 0
+    assert (out / "results.csv").read_text().count("\n") > 1
+    verdicts = json.loads((out / "verdicts.json").read_text())
+    assert verdicts and all(v["status"] != "violated" for v in verdicts)

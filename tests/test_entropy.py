@@ -743,3 +743,55 @@ def test_exhausted_budget_gives_sound_partial_brackets(monkeypatch):
         br = entropy_number(K, n, inner=False)
         assert br.upper_method == "greedy|pool|branch-bound-partial"
         assert br.lower <= value
+
+
+@pytest.mark.parametrize("m", [80, 40], ids=["above-limit", "within-limit"])
+@pytest.mark.parametrize("inner", [True, False], ids=["inner", "outer"])
+def test_entropy_brackets_are_scale_free(monkeypatch, m, inner):
+    # the bisections stop at a width relative to the radii they search, so a
+    # dilation by t scales both sides by t and takes no more probes
+    probes = []
+    bisect = entropy._bisect
+
+    def counting(pred, lo, hi):
+        def probe(r):
+            probes.append(r)
+            return pred(r)
+
+        return bisect(probe, lo, hi)
+
+    monkeypatch.setattr(entropy, "_bisect", counting)
+    K = CompactSetModel.cloud(np.random.default_rng(3).normal(size=(80, 3))[:m])
+    base = entropy_number(K, 2, inner=inner)
+    base_probes = len(probes)
+    assert base.upper > 0
+    for t in (1e-12, 1e-9, 1e6, 1e12):
+        probes.clear()
+        br = entropy_number(scale_set(K, t), 2, inner=inner)
+        stop = 2 * entropy._TOL * t * base.upper
+        assert abs(br.lower - t * base.lower) <= stop
+        assert abs(br.upper - t * base.upper) <= stop
+        assert br.exact == base.exact
+        assert len(probes) <= base_probes
+
+
+def test_entropy_of_few_distinct_points_is_exactly_zero():
+    # 80 points on 3 distinct ones: 4 balls of radius 0 cover them
+    P = np.repeat(np.random.default_rng(3).normal(size=(3, 3)), [30, 30, 20], axis=0)
+    for K, inner in ((CompactSetModel.cloud(P), True), (CompactSetModel.cloud(P[::2]), False)):
+        br = entropy_number(K, 2, inner=inner)
+        assert (br.lower, br.upper, br.exact) == (0.0, 0.0, True)
+
+
+def test_cover_number_packs_only_on_the_fallback_path(monkeypatch):
+    calls = []
+    packing = entropy._greedy_packing_indices
+
+    def counting(geom, eps, stop_after=None):
+        calls.append(eps)
+        return packing(geom, eps, stop_after)
+
+    monkeypatch.setattr(entropy, "_greedy_packing_indices", counting)
+    K = CompactSetModel.cloud(np.random.default_rng(5).normal(size=(30, 3)))
+    assert cover_number(K, 1.0).exact and calls == []
+    assert not cover_number(K, 1.0, inner=False).exact and calls == [2.0]

@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from widthlab.entropy import ksigma_nested_cover_radius
 from widthlab.harness import (
@@ -267,3 +270,213 @@ def test_sandwich_suites_no_violations():
         assert v.status != VIOLATED
     for v in entropy_sandwich(Ks, (0, 1, 2)):
         assert v.status != VIOLATED
+
+
+# ---------------------------------------------------------------------------
+# reference forms of the domination checks and the rate fit, one written
+# out per check and model with a golden-section exponent search, kept as
+# oracles for the shared core and the one least-squares step
+
+
+def _oracle_get(series, k):
+    try:
+        return series[k]
+    except KeyError:
+        raise ValueError(f"series missing index {k}") from None
+
+
+def _oracle_weighted_max(series, exponent, ks, side):
+    vals = []
+    for k in ks:
+        br = _oracle_get(series, k)
+        v = br.upper if side == "upper" else br.lower
+        vals.append(float(k) ** exponent * v)
+    return max(vals)
+
+
+def _oracle_verdict(name, lhs_low, lhs_up, rhs_low, rhs_up, window, details):
+    from widthlab.harness import Verdict
+
+    if rhs_low > 0:
+        return Verdict(name, HOLDS, lhs_up / rhs_low, window, details)
+    if lhs_up <= 0:
+        return Verdict(name, HOLDS, 0.0, window, details + "; zero-over-zero")
+    if rhs_up <= 0 and lhs_low > 0:
+        return Verdict(name, VIOLATED, None, window,
+                       details + "; positive maximum over certified-zero side")
+    return Verdict(name, INDETERMINATE, None, window,
+                   details + "; denominator bracket straddles zero")
+
+
+def oracle_check_carl(e_series, d_series, r, window):
+    lo, hi = window
+    ks = range(max(lo, 1), hi + 1)
+    if not len(list(ks)):
+        raise ValueError("empty window")
+    lhs_up = _oracle_weighted_max(e_series, r, ks, "upper")
+    lhs_low = _oracle_weighted_max(e_series, r, ks, "lower")
+    rhs_up = max(float(m) ** r * _oracle_get(d_series, m - 1).upper for m in ks)
+    rhs_low = max(float(m) ** r * _oracle_get(d_series, m - 1).lower for m in ks)
+    details = f"r={r:g}; weighted maxima LHS<= {lhs_up:.6g}, RHS>= {rhs_low:.6g}"
+    return _oracle_verdict("carl", lhs_low, lhs_up, rhs_low, rhs_up, window, details)
+
+
+def oracle_check_generalized_carl(e_series, d_series, r, schedule, window):
+    kind, p = schedule
+    lo, hi = window
+    ks = list(range(max(lo, 1), hi + 1))
+    if not ks:
+        raise ValueError("empty window")
+    if kind == "lambda":
+        e_idx = {k: k for k in ks}
+    elif kind == "power":
+        e_idx = {k: max(0, math.ceil((p + r) * k * math.log2(k))) for k in ks}
+    else:
+        raise ValueError(f"unknown schedule {kind!r}")
+    lhs_up = max(float(k) ** r * _oracle_get(e_series, e_idx[k]).upper for k in ks)
+    lhs_low = max(float(k) ** r * _oracle_get(e_series, e_idx[k]).lower for k in ks)
+    rhs_up = max(float(m) ** r * _oracle_get(d_series, m).upper for m in ks)
+    rhs_low = max(float(m) ** r * _oracle_get(d_series, m).lower for m in ks)
+    name = f"generalized-carl-{kind}"
+    details = (f"r={r:g}, {kind}={p:g}; weighted maxima LHS<= {lhs_up:.6g}, "
+               f"RHS>= {rhs_low:.6g}")
+    return _oracle_verdict(name, lhs_low, lhs_up, rhs_low, rhs_up, window, details)
+
+
+def oracle_fit_rate(series, model, window):
+    from widthlab.harness import RateFit
+
+    lo, hi = window
+    ns, mids, weights = [], [], []
+    for nn in range(lo, hi + 1):
+        br = _oracle_get(series, nn)
+        ns.append(nn)
+        mids.append(br.mid)
+        weights.append(1.0 / (1.0 + br.width / max(abs(br.mid), 1e-300)))
+    ns = np.array(ns, dtype=float)
+    mids = np.array(mids)
+    weights = np.array(weights)
+    if np.all(mids == 0):
+        raise ValueError("degenerate all-zero series")
+    if model in ("log-only", "poly-log"):
+        keep = (ns >= 2) & (mids > 0)
+        ns, mids, weights = ns[keep], mids[keep], weights[keep]
+    if len(ns) < 4:
+        raise ValueError("window too small for a fit (need >= 4 usable points)")
+    sw = np.sqrt(weights)
+    y = np.log(mids)
+    if model == "log-only":
+        x = np.log(np.log2(ns))
+        A = np.column_stack([np.ones_like(x), -x])
+        coef, *_ = np.linalg.lstsq(A * sw[:, None], y * sw, rcond=None)
+        params = {"C": math.exp(coef[0]), "alpha": float(coef[1])}
+        resid = y - A @ coef
+    elif model == "poly-log":
+        A = np.column_stack([np.ones_like(ns), np.log(np.log2(ns)), -np.log(ns)])
+        coef, *_ = np.linalg.lstsq(A * sw[:, None], y * sw, rcond=None)
+        params = {"C": math.exp(coef[0]), "beta": float(coef[1]), "alpha": float(coef[2])}
+        resid = y - A @ coef
+    else:
+        y2 = np.log2(mids)
+
+        def fit_alpha(a):
+            A = np.column_stack([np.ones_like(ns), -(ns**a)])
+            coef, *_ = np.linalg.lstsq(A * sw[:, None], y2 * sw, rcond=None)
+            r = (y2 - A @ coef) * sw
+            return float(r @ r), coef
+
+        golden = (math.sqrt(5) - 1) / 2
+        a, b = 0.02, 0.98
+        c1, c2 = b - golden * (b - a), a + golden * (b - a)
+        f1, f2 = fit_alpha(c1)[0], fit_alpha(c2)[0]
+        for _ in range(60):
+            if f1 <= f2:
+                b, c2, f2 = c2, c1, f1
+                c1 = b - golden * (b - a)
+                f1 = fit_alpha(c1)[0]
+            else:
+                a, c1, f1 = c1, c2, f2
+                c2 = a + golden * (b - a)
+                f2 = fit_alpha(c2)[0]
+        alpha_hat = c1 if f1 <= f2 else c2
+        _, coef = fit_alpha(alpha_hat)
+        params = {"C": 2.0 ** coef[0], "c": float(coef[1]), "alpha": float(alpha_hat)}
+        A = np.column_stack([np.ones_like(ns), -(ns**alpha_hat)])
+        resid = y2 - A @ coef
+    residual = math.sqrt(float((resid * sw) @ (resid * sw)) / float(weights.sum()))
+    return RateFit(model, params, residual)
+
+
+def _brackets(sides):
+    return {k: Bracket(lo, lo + w) for k, (lo, w) in enumerate(sides)}
+
+
+_SIDE = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+# the power schedule reads entropy indices up to ceil(3 * 9 * log2 9) = 86
+_E_SIDES = st.lists(st.tuples(_SIDE, _SIDE), min_size=90, max_size=90)
+_D_SIDES = st.lists(st.tuples(_SIDE, _SIDE), min_size=10, max_size=10)
+# zero series, a certified-zero denominator, and a denominator that straddles
+# zero (lower side 0, upper side positive)
+_ZERO, _ONES, _STRADDLE = [(0.0, 0.0)] * 90, [(1.0, 0.0)] * 90, [(0.0, 1.0)] * 90
+
+
+def _same_outcome(new, oracle, *args):
+    """new(*args) == oracle(*args), or both raise the same error."""
+    try:
+        expected = oracle(*args)
+    except (ValueError, ArithmeticError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            new(*args)
+        return
+    assert new(*args) == expected
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(e=_E_SIDES, d=_D_SIDES, lo=st.integers(0, 5), span=st.integers(-1, 4),
+       r=st.sampled_from([0.5, 1.0, 2.0]), a=st.sampled_from([0.5, 1.0]),
+       lam=st.sampled_from([1.5, 2.0]))
+@example(e=_ZERO, d=_ZERO[:10], lo=1, span=4, r=1.0, a=1.0, lam=2.0)
+@example(e=_ONES, d=_ZERO[:10], lo=1, span=4, r=1.0, a=1.0, lam=2.0)
+@example(e=_ONES, d=_STRADDLE[:10], lo=0, span=4, r=0.5, a=0.5, lam=2.0)
+@example(e=_STRADDLE, d=_STRADDLE[:10], lo=2, span=3, r=2.0, a=1.0, lam=1.5)
+@example(e=_ZERO, d=_STRADDLE[:10], lo=5, span=4, r=2.0, a=1.0, lam=1.5)
+@example(e=_ONES, d=_ONES[:10], lo=4, span=-1, r=1.0, a=1.0, lam=2.0)
+def test_domination_checks_match_their_oracles(e, d, lo, span, r, a, lam):
+    e, d, window = _brackets(e), _brackets(d), (lo, lo + span)
+    _same_outcome(check_carl, oracle_check_carl, e, d, r, window)
+    for schedule in (("lambda", lam), ("power", a)):
+        _same_outcome(check_generalized_carl, oracle_check_generalized_carl,
+                      e, d, r, schedule, window)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(sides=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(1e-6, 5.0)),
+                                st.one_of(st.just(0.0), st.floats(0.0, 2.0))),
+                      min_size=16, max_size=16),
+       lo=st.integers(0, 6), span=st.integers(0, 10))
+@example(sides=[(0.0, 0.0)] * 16, lo=2, span=8)
+@example(sides=[(0.0, 0.0)] * 4 + [(1.0, 0.5)] * 12, lo=1, span=9)
+@example(sides=[(0.0, 0.0)] * 3 + [(0.0, 1.0)] + [(0.0, 0.0)] * 12, lo=0, span=10)
+def test_log_and_poly_log_fits_match_their_oracle_bit_for_bit(sides, lo, span):
+    series, window = _brackets(sides), (lo, lo + span)
+    for model in ("log-only", "poly-log"):
+        _same_outcome(fit_rate, oracle_fit_rate, series, model, window)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(C=st.floats(0.5, 4.0), c=st.floats(0.2, 2.0), a=st.floats(0.1, 0.9),
+       rel=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=20, max_size=20),
+       lo=st.integers(1, 4), span=st.integers(3, 15))
+@example(C=1.7, c=0.9, a=0.5, rel=[0.0] * 20, lo=1, span=14)
+def test_stretched_exp_fit_matches_the_golden_section_oracle(C, c, a, rel, lo, span):
+    # midpoints on the model, with brackets of random relative widths, so the
+    # weights vary and the least-squares optimum in alpha is well determined
+    series = {}
+    for n in range(lo, lo + span + 1):
+        v = C * 2 ** (-c * n**a)
+        series[n] = Bracket(v * (1 - rel[n] / 2), v * (1 + rel[n] / 2))
+    got = fit_rate(series, "stretched-exp", (lo, lo + span))
+    want = oracle_fit_rate(series, "stretched-exp", (lo, lo + span))
+    for key in ("C", "c", "alpha"):
+        assert abs(got.params[key] - want.params[key]) <= 1e-6 * max(1.0, abs(want.params[key]))
+    assert got.residual == pytest.approx(want.residual, abs=1e-6)

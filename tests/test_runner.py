@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from widthlab import harness, lipschitz, widths
+from widthlab import entropy, harness, lipschitz, widths
 from widthlab.cli import main
 from widthlab.runner import ConfigError, parse_config, run
 from widthlab.widths import nonlinear_width
@@ -389,7 +389,7 @@ def test_full_suite_decides_every_verdict(tmp_path):
     config = Path(__file__).resolve().parents[1] / "demos" / "configs" / "full_suite.cfg"
     assert run(config, out_dir=tmp_path, quiet=True) == 0
     verdicts = json.loads((tmp_path / "verdicts.json").read_text())
-    assert len(verdicts) == 40
+    assert len(verdicts) == 41
     assert [v["check"] for v in verdicts if v["status"] == "indeterminate"] == []
     with open(tmp_path / "results.csv") as fh:
         rows = [r for r in csv.DictReader(fh) if r["experiment_id"] == "entropy-cloud"]
@@ -397,3 +397,21 @@ def test_full_suite_decides_every_verdict(tmp_path):
                or (r["quantity"] == "inner_entropy" and r["n"] != "0")]
     assert len(counted) == 9
     assert all(r["exact"] == "true" for r in counted)
+
+
+def test_attained_entropy_verdict_fails_on_a_close_miss(tmp_path, monkeypatch):
+    # the nested-cover verdict allows the tail gap, so a value 1e-6 off the
+    # attained one still "holds" there; the attained verdict allows 1e-9
+    p = tmp_path / "ks.cfg"
+    p.write_text("[ks]\nkind = ksigma-reproduce\nn_values = 1,2,3,4,5,6\n")
+    assert run(p, out_dir=tmp_path / "held", quiet=True) == 0
+    held = json.loads((tmp_path / "held" / "verdicts.json").read_text())
+    assert {v["check"]: v["status"] for v in held} == {
+        "ks:ksigma-entropy-attained": "holds", "ks:ksigma-entropy-containment": "holds"}
+    attained = entropy.ksigma_inner_entropy_attained
+    monkeypatch.setattr(entropy, "ksigma_inner_entropy_attained",
+                        lambda alpha, n: attained(alpha, n) * (1 + 1e-6))
+    assert run(p, out_dir=tmp_path / "missed", quiet=True) == 2
+    missed = json.loads((tmp_path / "missed" / "verdicts.json").read_text())
+    assert {v["check"]: v["status"] for v in missed} == {
+        "ks:ksigma-entropy-attained": "violated", "ks:ksigma-entropy-containment": "holds"}
