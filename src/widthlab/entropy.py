@@ -12,8 +12,8 @@ reported as an exact bracket [d, d].  Above the limit, or when a search runs
 out of nodes, the greedy cover and packing give the bracket.  One rule gives
 every outer upper count (`_cover_count`): the greedy cover's, or within the
 limit the greedy set cover's over a pool of candidate centers when that is
-fewer; outer counts are never exact.  The coordinate sequence family
-additionally has closed-form paths.
+fewer; like every bracket, an outer count is exact when its sides meet.  The
+coordinate sequence family additionally has closed-form paths.
 
 Each public function builds one geometry (`_Geom`) and hands it to the
 private helpers; nothing is cached across calls.  Within the limit the
@@ -419,7 +419,7 @@ def cover_number(K: CompactSetModel, eps: float, inner: bool = True) -> Bracket:
     bound, unless the search runs out of nodes.  Otherwise the upper side is
     `_cover_count`: the greedy cover, or for outer covers within the limit
     the candidate-pool greedy set cover when that is fewer (`greedy|pool`).
-    Outer counts are never flagged exact.
+    An outer count is exact only when the packing meets it, as [1, 1].
     """
     _check_radius(eps)
     geom = _Geom(K)
@@ -429,11 +429,10 @@ def cover_number(K: CompactSetModel, eps: float, inner: bool = True) -> Bracket:
         upper, complete = _inner_cover_bnb(geom, eps, upper)
         if complete:
             v = float(upper)
-            return Bracket(v, v, exact=True,
-                           lower_method="branch-bound", upper_method="branch-bound")
+            return Bracket(v, v, lower_method="branch-bound", upper_method="branch-bound")
         method += "|branch-bound-partial"
     lower = max(len(_greedy_packing_indices(geom, 2 * eps)), 1)
-    return Bracket(float(min(lower, upper)), float(upper), exact=False,
+    return Bracket(float(min(lower, upper)), float(upper),
                    lower_method="packing-2eps", upper_method=method)
 
 
@@ -447,18 +446,16 @@ def packing_number(K: CompactSetModel, eps: float) -> Bracket:
     """Bracket on the maximal eps-packing cardinality."""
     if K.is_ksigma:
         v = float(ksigma_packing_count(K, eps))
-        return Bracket(v, v, exact=True,
-                       lower_method="sequence-closed-form",
+        return Bracket(v, v, lower_method="sequence-closed-form",
                        upper_method="sequence-closed-form")
     geom = _Geom(K)
     res = _max_packing(geom, eps)
     if res.exact:
         v = float(res.cardinality)
-        return Bracket(v, v, exact=True,
-                       lower_method="exhaustive", upper_method="exhaustive")
+        return Bracket(v, v, lower_method="exhaustive", upper_method="exhaustive")
     upper = max(len(_greedy_cover_indices(geom, eps / 2)), res.cardinality)
     lower_method = "greedy-packing" + ("|exhaustive-partial" if geom.small else "")
-    return Bracket(float(res.cardinality), float(upper), exact=False,
+    return Bracket(float(res.cardinality), float(upper),
                    lower_method=lower_method, upper_method="half-radius-cover")
 
 
@@ -508,28 +505,26 @@ def entropy_number(K: CompactSetModel, n: int, inner: bool = True) -> Bracket:
     and for outer numbers within the limit the candidate-pool greedy set
     cover), and the lower side keeps the largest radius at which a packing at
     doubled radius shows that 2^n balls cannot suffice, both to 1e-9 relative;
-    a bracket whose sides meet, as [0, 0] on at most 2^n distinct points, is
-    exact.  Any inner cover is an outer cover, so an outer upper side within the
-    limit is at most the exact inner number (tagged `inner-branch-bound`
-    when that is lower).
+    the bracket is exact when they agree to 1e-9 (``Bracket``), as [0, 0] on
+    at most 2^n distinct points.  Any inner cover is an outer cover, so an
+    outer upper side within the limit is at most the exact inner number
+    (tagged `inner-branch-bound` when that is lower).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     geom = _Geom(K, keep_rows=True)
     target = 1 << n
     if target >= geom.m:
-        return Bracket(0.0, 0.0, exact=True,
-                       lower_method="ball-per-point", upper_method="ball-per-point")
+        return Bracket(0.0, 0.0, lower_method="ball-per-point", upper_method="ball-per-point")
 
     hi0 = geom.one_center_radius()
     if n == 0 and inner:
-        return Bracket(hi0, hi0, exact=True, lower_method="one-center", upper_method="one-center")
+        return Bracket(hi0, hi0, lower_method="one-center", upper_method="one-center")
     if n == 0:
         return chebyshev_radius(geom.model)
     exact = _inner_entropy_search(geom, target, hi0) if geom.small else None
     if inner and exact is not None:
-        return Bracket(exact, exact, exact=True,
-                       lower_method="branch-bound", upper_method="branch-bound")
+        return Bracket(exact, exact, lower_method="branch-bound", upper_method="branch-bound")
 
     def upper_feasible(eps: float) -> bool:
         return _cover_count(geom, eps, inner, stop_after=target) <= target
@@ -554,8 +549,7 @@ def entropy_number(K: CompactSetModel, n: int, inner: bool = True) -> Bracket:
         upper_method += "|branch-bound-partial"
     elif exact is not None and exact < upper:
         upper, upper_method = exact, "inner-branch-bound"
-    return Bracket(min(lower, upper), upper, exact=lower >= upper,
-                   lower_method="packing-cert", upper_method=upper_method)
+    return Bracket(min(lower, upper), upper, lower_method="packing-cert", upper_method=upper_method)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -114,8 +115,7 @@ def ksigma_entropy_series(alpha: float, indices) -> dict[int, Bracket]:
     out = {}
     for k in indices:
         v = ksigma_inner_entropy_attained(alpha, k)
-        out[k] = Bracket(v / 2, v, exact=False,
-                         lower_method="inner-halving", upper_method="hub-cover")
+        out[k] = Bracket(v / 2, v, lower_method="inner-halving", upper_method="hub-cover")
     return out
 
 
@@ -365,11 +365,11 @@ def fit_rate(series, model: str, window: tuple[int, int]) -> RateFit:
     if model == "log-only":
         A = np.column_stack([np.ones_like(ns), -np.log(np.log2(ns))])
         coef, resid = wls(A, np.log(mids))
-        params = {"C": math.exp(coef[0]), "alpha": float(coef[1])}
+        exp, params = math.exp, {"alpha": float(coef[1])}
     elif model == "poly-log":
         A = np.column_stack([np.ones_like(ns), np.log(np.log2(ns)), -np.log(ns)])
         coef, resid = wls(A, np.log(mids))
-        params = {"C": math.exp(coef[0]), "beta": float(coef[1]), "alpha": float(coef[2])}
+        exp, params = math.exp, {"beta": float(coef[1]), "alpha": float(coef[2])}
     elif model == "stretched-exp":
         if np.any(mids <= 0):
             raise ValueError("stretched-exp fit needs positive series values")
@@ -385,9 +385,14 @@ def fit_rate(series, model: str, window: tuple[int, int]) -> RateFit:
         alpha_hat = float(minimize_scalar(sse, bounds=(0.02, 0.98), method="bounded",
                                           options={"xatol": 1e-10}).x)
         coef, resid = stretched(alpha_hat)
-        params = {"C": 2.0 ** coef[0], "c": float(coef[1]), "alpha": alpha_hat}
+        exp, params = partial(math.pow, 2.0), {"c": float(coef[1]), "alpha": alpha_hat}
     else:
         raise ValueError(f"unknown model {model!r}")
+    try:
+        params = {"C": exp(coef[0]), **params}
+    except OverflowError:
+        # an ill-conditioned window can fit a log C past the float range
+        raise ValueError("fit coefficient overflows (ill-conditioned window)") from None
     residual = math.sqrt(float(resid @ resid) / float(weights.sum()))
     return RateFit(model, params, residual)
 
@@ -448,8 +453,7 @@ def packing_cover_sandwich_verdicts(eps: float, p_eps: Bracket, cover: Bracket,
 
 def entropy_sandwich_verdicts(n: int, outer: Bracket, inner: Bracket) -> list[Verdict]:
     """e_n <= inner e_n <= 2 e_n on the brackets of one order."""
-    doubled = Bracket(2 * outer.lower, 2 * outer.upper, exact=False,
-                      lower_method=outer.lower_method, upper_method=outer.upper_method)
+    doubled = outer.scaled(2.0)
     return [
         Verdict("entropy-sandwich", bracket_leq(outer, inner), None, (n, n),
                 f"n={n}: outer <= inner"),

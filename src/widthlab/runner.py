@@ -293,12 +293,12 @@ def _run_lipschitz(cfg: ExperimentConfig) -> _Output:
         est = lipschitz.estimate_lipschitz(spec, pairs=pairs, seed=cfg.seed)
         status = harness.HOLDS if est <= spec.gamma + 1e-9 else harness.VIOLATED
         if status == harness.HOLDS:
-            br = Bracket(min(est, spec.gamma), spec.gamma, exact=False,
+            br = Bracket(min(est, spec.gamma), spec.gamma,
                          lower_method="peak-pairs", upper_method="claimed-constant")
         else:
             # a domain pair proves the constant is at least est, and the
             # claimed one is no upper bound
-            br = Bracket(est, math.inf, exact=False, lower_method="peak-pairs",
+            br = Bracket(est, math.inf, lower_method="peak-pairs",
                          upper_method="claimed-constant-refuted")
         _bracket_row(out, cfg, K, n, N, f"lipschitz_{name}", br, cfg.seed)
         _add_verdict(out, cfg, harness.Verdict(

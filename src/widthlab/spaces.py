@@ -130,25 +130,25 @@ def _symmetric_facets(P: np.ndarray) -> np.ndarray | None:
 class Bracket:
     """A certified [lower, upper] interval for a nonnegative quantity.
 
-    ``exact`` asserts the two sides agree to 1e-9 relative; the method tags
-    record how each side was certified.
+    Its sides satisfy 0 <= lower <= upper (1 + 1e-12); the method tags record
+    how each side was certified.  It is ``exact`` when the sides agree to
+    1e-9 relative to a finite upper side, a rule without a unit: [0, 0] is
+    exact, [x, inf] never is, and a dilation keeps the flag.
     """
 
     lower: float
     upper: float
-    exact: bool = False
     lower_method: str = ""
     upper_method: str = ""
 
     def __post_init__(self):
-        if self.lower < 0 and self.lower > -1e-12:
-            object.__setattr__(self, "lower", 0.0)
-        if self.lower < 0 or self.upper < 0:
-            raise ValueError("bracket sides must be nonnegative")
-        if self.lower > self.upper + 1e-12 * max(1.0, self.upper):
-            raise ValueError(f"inverted bracket [{self.lower}, {self.upper}]")
-        if self.exact and self.upper - self.lower > 1e-9 * max(1.0, self.upper):
-            raise ValueError("exact bracket wider than 1e-9 relative")
+        if not 0.0 <= self.lower <= self.upper * (1 + 1e-12):
+            raise ValueError(f"bracket sides [{self.lower}, {self.upper}] are not "
+                             "0 <= lower <= upper")
+
+    @property
+    def exact(self) -> bool:
+        return math.isfinite(self.upper) and self.upper - self.lower <= 1e-9 * self.upper
 
     @property
     def width(self) -> float:
@@ -167,7 +167,7 @@ class Bracket:
 
     @staticmethod
     def exactly(value: float, method: str = "closed-form") -> "Bracket":
-        return Bracket(value, value, exact=True, lower_method=method, upper_method=method)
+        return Bracket(value, value, lower_method=method, upper_method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +474,7 @@ def chebyshev_radius(K: CompactSetModel) -> Bracket:
     largest coordinate range (the center sits at the coordinate midranges).
     l_p clouds pair the half-diameter (``_diameter``) with the radius
     measured from the center of a convex solve (``_pnorm_center``); like the
-    euclidean sides, they are flagged exact when they agree to 1e-9 relative.
+    euclidean sides, they make an exact bracket when they agree (``Bracket``).
     """
     K = K.as_cloud()
     pts = K.points
@@ -483,13 +483,10 @@ def chebyshev_radius(K: CompactSetModel) -> Bracket:
     if K.norm.is_euclidean:
         _, upper, w = minimum_enclosing_ball(pts)
         lower = _dual_radius(pts, w)
-        return Bracket(lower, upper, exact=upper - lower <= 1e-9 * max(1.0, upper),
-                       lower_method="simplex-dual", upper_method="enclosing-center")
+        return Bracket(lower, upper, lower_method="simplex-dual", upper_method="enclosing-center")
     if K.norm.kind == "max":
         r = float(np.ptp(pts, axis=0).max()) / 2
-        return Bracket(r, r, exact=True,
-                       lower_method="half-diameter", upper_method="midrange-center")
+        return Bracket(r, r, lower_method="half-diameter", upper_method="midrange-center")
     lower = 0.5 * _diameter(pts, K.norm)
     upper = max(float(np.max(K.norm.norm(pts - _pnorm_center(pts, K.norm)))), lower)
-    return Bracket(lower, upper, exact=upper - lower <= 1e-9 * max(1.0, upper),
-                   lower_method="half-diameter", upper_method="convex-center")
+    return Bracket(lower, upper, lower_method="half-diameter", upper_method="convex-center")

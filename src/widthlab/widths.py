@@ -279,7 +279,10 @@ def _fit_subspaces(
             i, scale, B = ids[live[g]], float(scales[live[g]]), Vt[g, :rank].T
             # the optimal subspace can be taken inside the row space
             G = _symmetric_facets(C[g] @ B) if n == rank - 1 and rank <= _FACET_RANK_LIMIT else None
-            if n >= rank:
+            if n >= d:
+                # the coordinate frame holds every point: distances are 0.0 exactly
+                fits[i] = _exact_fit(clouds[i], np.eye(d)[:, :n], scale, 0.0)
+            elif n >= rank:
                 fits[i] = _exact_fit(clouds[i], _orthonormal_extend(B, n), scale, 0.0)
             elif G is not None:
                 norms = np.linalg.norm(G, axis=1)
@@ -312,13 +315,14 @@ def _exact_fit(P: np.ndarray, V: np.ndarray, scale: float, snap_val: float):
     point by at most s = sqrt(d) 2^-36 scale, and the width, a min over
     subspaces of a max of distances, by at most s: w(P) >= scale * snap_val
     - s, as snap_val, the snapped cloud's width in its row space, is at most
-    its width.  Less a rounding margin 1e-10 max(1, value), that is the side.
-    A bracket on it is exact when it closes to 1e-9 max(1, value), which the
-    snap alone can prevent on a cloud whose scale is many times its width.
+    its width.  Less a rounding margin of 1e-10 of itself, that is the side,
+    so it dilates with the cloud.  A bracket on it is exact when it closes to
+    1e-9 relative, which the snap alone can prevent on a cloud whose scale is
+    many times its width.
     """
     val = float(_euclid_dists(P, V).max())
     slack = math.sqrt(P.shape[1]) * scale / (2 * _SNAP)
-    return V, val, max(0.0, scale * snap_val - slack - 1e-10 * max(1.0, val))
+    return V, val, max(0.0, (scale * snap_val - slack) * (1 - 1e-10))
 
 
 def linear_width(
@@ -366,12 +370,11 @@ def linear_width(
             j = int(np.argmax(norms))
             V = _orthonormal_extend(G[j, :, None] / np.linalg.norm(G[j]), d)[:, 1:]
             val = float(_dists(P, V, cloud.norm).max())
-            lower = 1.0 / float(norms[j])
-            lower -= 1e-10 * max(1.0, lower)
+            lower = (1 - 1e-10) / float(norms[j])
             if lower <= val:
                 return WidthResult(
-                    Bracket(lower, val, exact=val - lower <= 1e-9 * max(1.0, val),
-                            lower_method="facet-inradius", upper_method="facet-hyperplane"),
+                    Bracket(lower, val, lower_method="facet-inradius",
+                            upper_method="facet-hyperplane"),
                     SubspaceFamily((V,), np.zeros(m, dtype=int), val), 0)
         [(V, _, _)] = _fit_subspaces([P], n, [seed], restarts)
         val = float(_dists(P, V, cloud.norm).max())
@@ -379,7 +382,7 @@ def linear_width(
         # |x|_p >= d^min(0, 1/p - 1/2) |x|_2
         lower = spectral * d ** min(0.0, inv_p - 0.5)
         return WidthResult(
-            Bracket(min(lower, val), val, exact=False, lower_method="spectral-norm-equivalence",
+            Bracket(min(lower, val), val, lower_method="spectral-norm-equivalence",
                     upper_method="euclid-fit-evaluated"),
             fam, restarts,
         )
@@ -389,10 +392,9 @@ def linear_width(
     fam = SubspaceFamily((V,), np.zeros(m, dtype=int), val)
     if cert is not None:
         lower = min(max(spectral, cert), val)
-        br = Bracket(lower, val, exact=val - lower <= 1e-9 * max(1.0, val),
-                     lower_method="exact-path", upper_method="exact-path")
+        br = Bracket(lower, val, lower_method="exact-path", upper_method="exact-path")
     else:
-        br = Bracket(min(spectral, val), val, exact=False,
+        br = Bracket(min(spectral, val), val,
                      lower_method="spectral-mean-square", upper_method="minimax-refine")
     # the exact paths run no restart
     return WidthResult(br, fam, restarts if cert is None else 0)
@@ -596,10 +598,10 @@ def nonlinear_width(
     largest cluster value; the least value wins, ties going to the smallest
     labelled code sum_i a_i N^i; when every subset's fit takes an exact path
     (as for n = d - 1 up to rank _FACET_RANK_LIMIT), the partitions' least
-    largest certified block side is the lower side, and the bracket is exact
-    when that closes it to 1e-9.  Otherwise the lower bound is the spectral
-    bound at dimension n*N, since one nN-dimensional space contains any
-    N-family.
+    largest certified block side is the lower side, tagged ``-exact`` when
+    the bracket is.  Otherwise the lower bound is the spectral bound at
+    dimension n*N, since one nN-dimensional space contains any N-family; with
+    m <= N points each spans a subspace of its own, and the bracket is [0, 0].
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -672,13 +674,13 @@ def nonlinear_width(
     fam = SubspaceFamily(bases, assign, val)
     if cert is not None:
         lower = min(max(lower, cert), val)
-        exact = val - lower <= 1e-9 * max(1.0, val)
-        method += "-exact" if exact else ""
-        br = Bracket(lower, val, exact=exact, lower_method=method, upper_method=method)
+        method += "-exact" if Bracket(lower, val).exact else ""
+        br = Bracket(lower, val, lower_method=method, upper_method=method)
     else:
-        # with m <= N the spectral side is 0, and a per-point span is exact when it fits
-        br = Bracket(min(lower, val), val, exact=m <= N and val <= 1e-12,
-                     lower_method="spectral-nN", upper_method=method)
+        # with m <= N each point spans a subspace of its own: the width is 0,
+        # whatever the rounding of the frames that hold the points
+        br = Bracket(min(lower, val), val if m > N else 0.0, lower_method="spectral-nN",
+                     upper_method=method)
     return WidthResult(br, fam, restarts_used)
 
 

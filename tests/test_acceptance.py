@@ -203,6 +203,7 @@ def test_acceptance_04_homogeneity():
     rng = np.random.default_rng(404)
     K = CompactSetModel.cloud(rng.normal(size=(12, 3)))
     lw = linear_width(K, 2, seed=4)
+    lw3 = linear_width(K, 3, seed=4)  # n = d: [0, 0]
     nw = nonlinear_width(K, 1, 2, seed=4)
     frames = _ortho_frames(3, [1, 1], 40)
     spec = build_phi(frames)
@@ -210,22 +211,29 @@ def test_acceptance_04_homogeneity():
     fw = fixed_width_upper(Kf, spec)
     ok = True
     details = []
-    for t in (0.5, 2.0, -3.0):
+    for t in (0.5, 2.0, -3.0, 1e-6, 1e6):
         lw_t = linear_width(scale_set(K, t), 2, seed=4)
+        lw3_t = linear_width(scale_set(K, t), 3, seed=4)
         nw_t = nonlinear_width(scale_set(K, t), 1, 2, seed=4)
         fw_t = fixed_width_upper(scale_set(Kf, t), spec.scaled(t))
         for got, want, tag in (
             (lw_t.bracket.upper, abs(t) * lw.bracket.upper, "lw.upper"),
             (lw_t.bracket.lower, abs(t) * lw.bracket.lower, "lw.lower"),
+            (lw3_t.bracket.upper, abs(t) * lw3.bracket.upper, "lw3.upper"),
             (nw_t.bracket.upper, abs(t) * nw.bracket.upper, "nw.upper"),
             (nw_t.bracket.lower, abs(t) * nw.bracket.lower, "nw.lower"),
             (fw_t, abs(t) * fw, "fixed-width"),
         ):
-            if abs(got - want) > 1e-9 * max(1.0, abs(want)):
+            if abs(got - want) > 1e-9 * abs(want):
                 ok = False
                 details.append(f"{tag}@t={t}")
+        # exactness has no unit: a dilation keeps every flag
+        for got, want, tag in ((lw_t, lw, "lw"), (lw3_t, lw3, "lw3"), (nw_t, nw, "nw")):
+            if got.bracket.exact != want.bracket.exact:
+                ok = False
+                details.append(f"{tag}.exact@t={t}")
     _finish(4, "homogeneity of width brackets and fixed-width values",
-            ok, f" [t in {{0.5, 2, -3}}]" + ("; " + ",".join(details) if details else ""))
+            ok, f" [t in {{0.5, 2, -3, 1e-6, 1e6}}]" + ("; " + ",".join(details) if details else ""))
 
 
 def test_acceptance_05_lipschitz_constants():

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -229,6 +230,16 @@ def test_fit_rate_errors():
         fit_rate(small, "log-only", (2, 4))
 
 
+def test_fit_rate_overflow_is_an_unusable_window():
+    # four usable points that barely separate poly-log's three columns: the
+    # fitted log C is past exp's range, which raised OverflowError before
+    series = {n: Bracket(0.0, 0.0) for n in range(15)}
+    series.update({11: Bracket(0.0, 1.0699), 12: Bracket(0.0, 0.0262),
+                   13: Bracket(0.0, 0.5760), 14: Bracket(4.3309, 4.3309)})
+    with pytest.raises(ValueError, match="overflows"):
+        fit_rate(series, "poly-log", (6, 14))
+
+
 def test_lower_bound_band_ksigma():
     e = ksigma_inner_entropy_series(1.0, range(3, 13))
     w = {n: Bracket.exactly(ksigma_nonlinear_width_upper(1.0, n - 1, int(2**n)))
@@ -365,16 +376,16 @@ def oracle_fit_rate(series, model, window):
         raise ValueError("window too small for a fit (need >= 4 usable points)")
     sw = np.sqrt(weights)
     y = np.log(mids)
-    if model == "log-only":
+    if model in ("log-only", "poly-log"):
         x = np.log(np.log2(ns))
-        A = np.column_stack([np.ones_like(x), -x])
+        A = (np.column_stack([np.ones_like(x), -x]) if model == "log-only"
+             else np.column_stack([np.ones_like(ns), x, -np.log(ns)]))
         coef, *_ = np.linalg.lstsq(A * sw[:, None], y * sw, rcond=None)
-        params = {"C": math.exp(coef[0]), "alpha": float(coef[1])}
-        resid = y - A @ coef
-    elif model == "poly-log":
-        A = np.column_stack([np.ones_like(ns), np.log(np.log2(ns)), -np.log(ns)])
-        coef, *_ = np.linalg.lstsq(A * sw[:, None], y * sw, rcond=None)
-        params = {"C": math.exp(coef[0]), "beta": float(coef[1]), "alpha": float(coef[2])}
+        # exp(coef[0]) is no float past log(DBL_MAX): an unusable window
+        if coef[0] > math.log(sys.float_info.max):
+            raise ValueError("fit coefficient overflows (ill-conditioned window)")
+        params = ({"C": math.exp(coef[0]), "alpha": float(coef[1])} if model == "log-only" else
+                  {"C": math.exp(coef[0]), "beta": float(coef[1]), "alpha": float(coef[2])})
         resid = y - A @ coef
     else:
         y2 = np.log2(mids)
@@ -457,6 +468,12 @@ def test_domination_checks_match_their_oracles(e, d, lo, span, r, a, lam):
 @example(sides=[(0.0, 0.0)] * 16, lo=2, span=8)
 @example(sides=[(0.0, 0.0)] * 4 + [(1.0, 0.5)] * 12, lo=1, span=9)
 @example(sides=[(0.0, 0.0)] * 3 + [(0.0, 1.0)] + [(0.0, 0.0)] * 12, lo=0, span=10)
+# exp(coef[0]) overflows: a subnormal-scale side, and the poly-log window of
+# test_fit_rate_overflow_is_an_unusable_window
+@example(sides=[(0.0, 0.0)] * 3 + [(0.0, 1.0)] + [(0.0, 0.0)] * 4 + [(0.0, 1.0)] * 2
+         + [(0.0, 2.2250738585072014e-308)] + [(0.0, 0.0)] * 5, lo=0, span=10)
+@example(sides=[(0.0, 0.0)] * 11 + [(0.0, 1.0699), (0.0, 0.0262), (0.0, 0.5760), (4.3309, 0.0)]
+         + [(0.0, 0.0)], lo=6, span=8)
 def test_log_and_poly_log_fits_match_their_oracle_bit_for_bit(sides, lo, span):
     series, window = _brackets(sides), (lo, lo + span)
     for model in ("log-only", "poly-log"):

@@ -12,6 +12,7 @@ import pytest
 from widthlab import entropy, harness, lipschitz, widths
 from widthlab.cli import main
 from widthlab.runner import ConfigError, parse_config, run
+from widthlab.spaces import Bracket
 from widthlab.widths import nonlinear_width
 
 SMOKE = """
@@ -415,3 +416,18 @@ def test_attained_entropy_verdict_fails_on_a_close_miss(tmp_path, monkeypatch):
     missed = json.loads((tmp_path / "missed" / "verdicts.json").read_text())
     assert {v["check"]: v["status"] for v in missed} == {
         "ks:ksigma-entropy-attained": "violated", "ks:ksigma-entropy-containment": "holds"}
+
+
+def test_report_exact_cells_follow_the_bracket_rule(tmp_path):
+    # every row, the hand-built m-term row too, flags exact just when its
+    # printed sides meet the one rule
+    config = Path(__file__).resolve().parents[1] / "demos" / "configs" / "smoke.cfg"
+    assert main(["run", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+    with open(tmp_path / "results.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {r["experiment_id"] for r in rows} == {"ks-repro", "carl-ks", "widths-cloud",
+                                                  "mterm-random"}
+    for r in rows:
+        lower, upper = float(r["lower"]), float(r["upper"])
+        assert r["exact"] == ("true" if Bracket(lower, upper).exact else "false"), r
+    assert {r["exact"] for r in rows} == {"true", "false"}

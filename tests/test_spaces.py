@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from widthlab import spaces
@@ -389,15 +389,45 @@ def test_scale_homogeneity_of_sup_norm():
 
 
 def test_bracket_invariants():
-    with pytest.raises(ValueError):
-        Bracket(2.0, 1.0)
-    with pytest.raises(ValueError):
-        Bracket(0.0, 1.0, exact=True)
+    # sides must satisfy 0 <= lower <= upper (1 + 1e-12) at every scale
+    for lower, upper in ((2.0, 1.0), (3e-13, 1e-13), (-1e-300, 1.0), (math.nan, 1.0),
+                         (0.0, math.nan), (math.nan, math.nan), (1.0, -1.0), (math.inf, 1.0)):
+        with pytest.raises(ValueError):
+            Bracket(lower, upper)
+    Bracket(1.0 + 1e-13, 1.0)
+    # exactness is derived from the sides alone, 1e-9 relative to a finite upper side
+    assert Bracket(0.0, 0.0).exact and Bracket(3.0, 3.0).exact
+    assert Bracket(1e-3 * (1 - 5e-10), 1e-3).exact
+    assert not Bracket(0.0, 5e-10).exact and not Bracket(1e-3 * (1 - 5e-8), 1e-3).exact
+    assert not Bracket(2.0, math.inf).exact and not Bracket(math.inf, math.inf).exact
+    assert Bracket.exactly(0.25, "tag") == Bracket(0.25, 0.25, "tag", "tag")
+    # an exact bracket stays exact under any dilation
+    assert Bracket(1e-3 * (1 - 5e-10), 1e-3).scaled(1e6).exact
     b = Bracket(1.0, 2.0)
     assert b.scaled(-2.0).upper == 4.0
     assert b.contains(1.5)
     assert not b.contains(2.5)
     assert b.contains(2.5, slack=0.6)
+
+
+_SIDE = st.one_of(st.just(0.0), st.floats(1e-6, 1e6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_SIDE, st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 2e-9)),
+       st.floats(1e-12, 1e12))
+@example(1e-3, 5e-8, 1e6)  # exact at unit scale only while the rule had an absolute floor
+@example(1e-3, 5e-10, 1e6)
+@example(1.0, 9.99e-10, 1e-12)
+@example(0.0, 0.0, 1e12)
+def test_bracket_exactness_is_scale_free(upper, rel_gap, t):
+    # rounding the sides, here or in the dilation, moves a gap by about 1e-7
+    # of itself at 1e-9: that close to the threshold either flag is right
+    assume(abs(rel_gap / 1e-9 - 1.0) > 1e-6)
+    b = Bracket(upper * (1 - rel_gap), upper)
+    assert b.scaled(t).exact == b.exact
+    assert b.scaled(t).exact == b.scaled(1.0 / t).exact
+    assert not Bracket(upper * (1 - rel_gap) * t, math.inf).exact
 
 
 def test_pnorm_half_diameter_memory_stays_linear_in_blocks():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -273,9 +274,17 @@ def test_planar_line_memory_stays_linear_in_blocks():
     assert peak < 64 * 2**20
 
 
+# the snap moves each side of a codimension-1 fit by at most s = sqrt(d)
+# 2^-36 times the largest norm, and the lower side's rounding margin is 1e-10
+# of it: a bracket that is not exact is at most about 2.2 s wide (1.9 s seen)
+SNAP_WIDTHS = 2.5
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.integers(3, 4), st.integers(0, 2**16),
        st.sampled_from(["plain", "duplicate", "antipodal", "origin", "stretched"]))
+@example(3, 26, "plain")  # [0.0331643148, 0.0331643149]: 2.8e-9 relative, 1.3 s wide
+@example(3, 44, "origin")  # 8.3e-9 relative, 1.0 s wide; both exact by the old absolute rule
 def test_facet_fit_against_refine_and_sampled_directions(d, seed, twist):
     rng = np.random.default_rng([97, d, seed])
     P = rng.normal(size=(int(rng.integers(d, 3 * d + 4)), d))
@@ -295,14 +304,13 @@ def test_facet_fit_against_refine_and_sampled_directions(d, seed, twist):
     assert abs(float(np.abs(P @ w).max()) / float(np.linalg.norm(w)) - v) <= 1e-12 * max(1.0, v)
     # the fit takes it on the cloud over its largest norm, snapped to a
     # 2^-35 grid, with a lower side below the unsnapped value; the bracket is
-    # exact when that side closes it to 1e-9 max(1, value), which the snap
-    # can keep a stretched cloud's from doing
+    # exact, or no wider than the snap allows (SNAP_WIDTHS)
     [(V, val, cert)] = _fit_subspaces([P], d - 1, [seed], 0)
     scale = float(np.linalg.norm(P, axis=1).max())
     assert abs(val - v) <= 2.0**-34 * scale
     assert cert is not None and cert <= v * (1 + 1e-12)
     br = linear_width(CompactSetModel.cloud(P), d - 1, seed=seed).bracket
-    assert br.exact or twist == "stretched"
+    assert br.exact or br.width <= SNAP_WIDTHS * math.sqrt(d) * 2.0**-36 * scale
     assert br.upper == val and br.lower >= cert
     assert br.lower <= v * (1 + 1e-12)
     # no refined start and no sampled normal beats it
@@ -327,8 +335,11 @@ def test_near_flat_subset_falls_back_to_refine(monkeypatch):
     _, S, _ = np.linalg.svd(C)
     assert S[2] > 1e-12 * S[0] and rank == 2
     assert _symmetric_facets(C @ Vt.T) is None
-    res = linear_width(CompactSetModel.cloud(flat), 2)
-    assert res.bracket.upper_method == "exact-path" and res.bracket.exact
+    br = linear_width(CompactSetModel.cloud(flat), 2).bracket
+    # the snap's noise, not the width, sizes the bracket: [4.8e-12, 1.6e-11]
+    # around a width of 6.6e-12, which the old absolute rule flagged exact
+    assert br.upper_method == "exact-path" and not br.exact
+    assert Fraction(br.lower) ** 2 <= _exact_inradius_sq(flat) <= Fraction(br.upper) ** 2
     # a subset whose facet list fails its checks is refined
     P = np.vstack([flat, rng.normal(size=(6, 3))])
     monkeypatch.setattr(widths, "_symmetric_facets", lambda Q: None)
@@ -366,6 +377,19 @@ def test_pnorm_codimension_one_width_is_the_facet_inradius(norm):
     assert br.lower_method == "spectral-norm-equivalence"
 
 
+def test_per_point_spans_are_exact_at_every_scale():
+    # m <= N: each point spans a subspace of its own, so the width is 0; the
+    # witness frames come from snapped fits and hold their points to the snap
+    P = np.random.default_rng(3).normal(size=(3, 3))
+    for t in (1e-6, 1.0, 1e6):
+        K = CompactSetModel.cloud(P * t)
+        for n, N in ((1, 3), (2, 4)):
+            res = nonlinear_width(K, n, N)
+            assert (res.bracket.lower, res.bracket.upper) == (0.0, 0.0) and res.bracket.exact
+            assert res.bracket.upper_method == "per-point-span"
+            assert res.witness.validate(K)
+
+
 def test_enumerated_codimension_one_families_are_exact():
     for t, (m, N) in enumerate([(6, 2), (7, 2), (7, 3)]):
         P = np.random.default_rng([89, t]).normal(size=(m, 2))
@@ -396,9 +420,53 @@ def test_low_rank_cloud_is_read_above_the_snap_noise():
     # values 3 to 5 to about 1e-11, which read against 1e-12 of the first
     # refined it at rank 5 to [2.4e-16, 9.4e-11]
     rng = np.random.default_rng([41, 1])
-    X = rng.normal(size=(6, 2)) @ rng.normal(size=(2, 5))
+    A, B = rng.normal(size=(6, 2)), rng.normal(size=(2, 5))
+    X = A @ B
     br = linear_width(CompactSetModel.cloud(X), 2).bracket
-    assert br.exact and br.lower_method == "exact-path"
+    # [2.4e-16, 6.1e-11]: the snap's noise sizes the upper side, so it is not
+    # exact, though the old absolute rule flagged it
+    assert br.lower_method == "exact-path" and not br.exact
+    # the width is at most h = 1.7e-16, the rounded points' exact distance to
+    # B's row space, and the upper side is above it; the lower side, the
+    # spectral one, carries the float SVD's rounding, about eps |X|, and no
+    # margin for it, so it is held below h to that rounding
+    h_sq = _exact_row_space_dist_sq(X, B)
+    assert h_sq <= Fraction(br.upper) ** 2
+    assert br.lower <= math.sqrt(h_sq) + np.finfo(float).eps * np.linalg.norm(X, 2)
+
+
+def _exact_inradius_sq(X):
+    """The squared inradius of conv(+-X), X of full rank in R^3, in exact
+    rational arithmetic: the least squared distance to the origin of a facet
+    plane through three of the points +-x_i."""
+    pts = [tuple(map(Fraction, x)) for x in X]
+    pts += [tuple(-v for v in x) for x in pts]
+    best = None
+    for a, b, c in itertools.combinations(pts, 3):
+        u = [b[i] - a[i] for i in range(3)]
+        w = [c[i] - a[i] for i in range(3)]
+        normal = [u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0]]
+        h = abs(sum(n * v for n, v in zip(normal, a)))
+        if h and all(abs(sum(n * v for n, v in zip(normal, p))) <= h for p in pts):
+            dist_sq = h * h / sum(n * n for n in normal)
+            best = dist_sq if best is None else min(best, dist_sq)
+    return best
+
+
+def _exact_row_space_dist_sq(X, B):
+    """The largest squared distance of the rows of X to the row space of B
+    (two rows), in exact rational arithmetic."""
+    Bf = [[Fraction(v) for v in row] for row in B]
+    (g00, g01), (g10, g11) = [[sum(p * q for p, q in zip(r, t)) for t in Bf] for r in Bf]
+    det = g00 * g11 - g01 * g10
+    inv = [[g11 / det, -g01 / det], [-g10 / det, g00 / det]]
+    out = []
+    for x in X:
+        xf = [Fraction(v) for v in x]
+        bx = [sum(p * q for p, q in zip(r, xf)) for r in Bf]
+        out.append(sum(v * v for v in xf) - sum(bx[i] * inv[i][j] * bx[j]
+                                                for i in range(2) for j in range(2)))
+    return max(out)
 
 
 def _hull_inradius(X):
@@ -411,8 +479,7 @@ def _hull_inradius(X):
 
 def test_stretched_codimension_one_widths_are_sound_and_exact():
     # each coordinate stretched by 0.01 to 10: the snap moves a point by up
-    # to sqrt(3) 2^-36 of the largest norm, many times the width's 1e-9;
-    # 139 of these were exact when that size was not read
+    # to s = sqrt(3) 2^-36 of the largest norm, many times the width's 1e-9
     exact = 0
     for s in range(200):
         rng = np.random.default_rng([97, 3, s])
@@ -420,8 +487,10 @@ def test_stretched_codimension_one_widths_are_sound_and_exact():
         br = linear_width(CompactSetModel.cloud(X), 2).bracket
         assert br.lower <= _hull_inradius(X) <= br.upper * (1 + 1e-12), s
         exact += br.exact
-    # the last two miss 1e-9 by the snap itself, up to 1.08e-9
-    assert exact >= 198
+        snap = math.sqrt(3) * 2.0**-36 * float(np.linalg.norm(X, axis=1).max())
+        assert br.exact or br.width <= SNAP_WIDTHS * snap, s
+    # 155 meet 1e-9 relative; 149 did with the absolute rounding margins
+    assert exact >= 149
     # the enumeration's sides, against the nested angle grid's best family
     for s in range(3):
         rng = np.random.default_rng([97, 2, s])
@@ -592,7 +661,9 @@ def _reference_fit(P, n, seed, restarts, sweeps):
     B = Vt[:rank].T
     Q = C @ B
     G = _symmetric_facets(Q) if n == rank - 1 and rank <= _FACET_RANK_LIMIT else None
-    if n >= rank:
+    if n >= P.shape[1]:
+        V = np.eye(P.shape[1])[:, :n]
+    elif n >= rank:
         V = _orthonormal_extend(B, n)
     elif G is not None:
         norms = np.linalg.norm(G, axis=1)
