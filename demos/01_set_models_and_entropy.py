@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Set models and certified covering/packing/entropy brackets.
 
-Walks through the two set models (finite clouds, the slowly decaying
-coordinate sequence family), then computes covers, packings, and entropy
+Walks through the set model, a finite cloud, and the slowly decaying
+coordinate sequence family built as one, then computes covers, packings, and entropy
 numbers with their certificates.
 """
 

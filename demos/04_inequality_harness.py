@@ -39,7 +39,7 @@ v = check_generalized_carl(e, d_lam, 1.0, ("lambda", 2.0), (1, 12))
 print(f"  lambda-schedule: {v.status}, witness C={v.witness:.4f}")
 
 # Entropy-from-width packing route on a rescaled sequence family.
-K = scale_set(CompactSetModel.ksigma(1.0, truncation=65).as_cloud(), 0.5)
+K = scale_set(CompactSetModel.ksigma(1.0, truncation=65), 0.5)
 v = check_entropy_from_width(K, 2, 2, seed=0)
 print(f"\nentropy-from-width: {v.status} ({v.details})")
 

@@ -77,10 +77,9 @@ class CoverResult:
 
     def validate(self, K: CompactSetModel, slack: float = 1e-12) -> bool:
         """Every point within eps of a center, and every center a set point."""
-        cloud = K.as_cloud()
-        D = cloud.norm.pairwise(cloud.points, self.centers)
+        D = K.norm.pairwise(K.points, self.centers)
         covered = np.all(D.min(axis=1) <= self.epsilon + slack)
-        DC = cloud.norm.pairwise(self.centers, cloud.points)
+        DC = K.norm.pairwise(self.centers, K.points)
         member = np.all(DC.min(axis=1) <= slack)
         return bool(covered and member)
 
@@ -96,7 +95,7 @@ class PackingResult:
         """Strict eps-separation of the packing points, in the model's norm."""
         if self.cardinality <= 1:
             return True
-        D = K.as_cloud().norm.pairwise(self.points)
+        D = K.norm.pairwise(self.points)
         iu = np.triu_indices(self.cardinality, 1)
         return bool(np.all(D[iu] > self.epsilon - slack))
 
@@ -115,14 +114,14 @@ class _Geom:
     """
 
     def __init__(self, K: CompactSetModel, keep_rows: bool = False):
-        cloud = K.as_cloud()
-        self.model = cloud
-        self.pts = cloud.points
-        self.norm = cloud.norm
+        self.model = K
+        self.pts = K.points
+        self.norm = K.norm
         self.m = self.pts.shape[0]
-        self.norms = np.asarray(cloud.norm.norm(self.pts), dtype=float).reshape(-1)
-        # greedy pick order: descending norm, ties to the lowest index
-        self.order = np.lexsort((np.arange(self.m), -self.norms))
+        self.norms = np.asarray(K.norm.norm(self.pts), dtype=float).reshape(-1)
+        # greedy pick order: descending norm, ties to the lowest index; a
+        # list, since the greedy walk reads it an entry at a time
+        self.order = np.lexsort((np.arange(self.m), -self.norms)).tolist()
         # the exact searches run on clouds of at most EXACT_POINT_LIMIT points
         self.small = self.m <= EXACT_POINT_LIMIT
         self.D = self.norm.pairwise(self.pts) if self.small else None
@@ -156,7 +155,7 @@ class _Geom:
         nearest = np.full(self.m, np.inf)
         seen = np.zeros(self.m, dtype=bool)
         best = np.inf
-        c = int(self.order[0])
+        c = self.order[0]
         for _ in range(_LANDMARKS):
             r = self.row(c)
             seen[c] = True
@@ -223,21 +222,21 @@ class _BudgetExhausted(Exception):
 # greedy cover / packing
 
 
-def _greedy_cover_indices(geom: _Geom, eps: float, stop_after: int | None = None):
-    """Greedy cover centers (point indices); stops early once count exceeds stop_after."""
-    covered = np.zeros(geom.m, dtype=bool)
-    centers: list[int] = []
-    ptr = 0
-    while True:
-        while ptr < geom.m and covered[geom.order[ptr]]:
-            ptr += 1
-        if ptr >= geom.m:
-            return centers
-        c = int(geom.order[ptr])
-        centers.append(c)
-        covered |= geom.row(c) <= eps
-        if stop_after is not None and len(centers) > stop_after:
-            return centers
+def _greedy_net(geom: _Geom, eps: float, order, stop_after: int | None = None) -> list[int]:
+    """Point indices taken in the given order, each unless it lies within
+    eps of an earlier pick: an eps-cover by set points whose picks are more
+    than eps apart, so also an eps-packing.  Covers walk the greedy order
+    (`_Geom.order`), packings the index order.  Stops once more than
+    stop_after are picked."""
+    near = np.zeros(geom.m, dtype=bool)
+    picks: list[int] = []
+    for i in order:
+        if not near[i]:
+            picks.append(i)
+            near |= geom.row(i) <= eps
+            if stop_after is not None and len(picks) > stop_after:
+                break
+    return picks
 
 
 def greedy_cover(K: CompactSetModel, eps: float) -> CoverResult:
@@ -247,21 +246,8 @@ def greedy_cover(K: CompactSetModel, eps: float) -> CoverResult:
     """
     _check_radius(eps)
     geom = _Geom(K)
-    idx = _greedy_cover_indices(geom, eps)
+    idx = _greedy_net(geom, eps, geom.order)
     return CoverResult(eps, geom.pts[idx], len(idx))
-
-
-def _greedy_packing_indices(geom: _Geom, eps: float, stop_after: int | None = None) -> list[int]:
-    """Lowest-index-first packing (point indices); stops early once count exceeds stop_after."""
-    blocked = np.zeros(geom.m, dtype=bool)
-    chosen: list[int] = []
-    for i in range(geom.m):
-        if not blocked[i]:
-            chosen.append(i)
-            blocked |= geom.row(i) <= eps
-            if stop_after is not None and len(chosen) > stop_after:
-                break
-    return chosen
 
 
 def _clique_partition_size(adj: list[int], cand: int) -> int:
@@ -320,7 +306,7 @@ def _max_packing(geom: _Geom, eps: float) -> PackingResult:
             return PackingResult(eps, geom.pts[idx], len(idx), exact=True)
         except _BudgetExhausted:
             pass
-    idx = _greedy_packing_indices(geom, eps)
+    idx = _greedy_net(geom, eps, range(geom.m))
     return PackingResult(eps, geom.pts[idx], len(idx))
 
 
@@ -400,7 +386,7 @@ def _cover_count(geom: _Geom, eps: float, inner: bool, stop_after: int | None = 
     of a cloud within the limit the greedy set cover's over the candidate
     pool (`_Geom.pool_D`) when that is fewer.  With stop_after, a count above
     it only says that the covers found need more than stop_after balls."""
-    count = len(_greedy_cover_indices(geom, eps, stop_after))
+    count = len(_greedy_net(geom, eps, geom.order, stop_after))
     if inner or not geom.small or (stop_after is not None and count <= stop_after):
         return count
     return min(count, _greedy_set_cover_count(geom.pool_D <= eps, stop_after))
@@ -431,7 +417,7 @@ def cover_number(K: CompactSetModel, eps: float, inner: bool = True) -> Bracket:
             v = float(upper)
             return Bracket(v, v, lower_method="branch-bound", upper_method="branch-bound")
         method += "|branch-bound-partial"
-    lower = max(len(_greedy_packing_indices(geom, 2 * eps)), 1)
+    lower = max(len(_greedy_net(geom, 2 * eps, range(geom.m))), 1)
     return Bracket(float(min(lower, upper)), float(upper),
                    lower_method="packing-2eps", upper_method=method)
 
@@ -453,7 +439,7 @@ def packing_number(K: CompactSetModel, eps: float) -> Bracket:
     if res.exact:
         v = float(res.cardinality)
         return Bracket(v, v, lower_method="exhaustive", upper_method="exhaustive")
-    upper = max(len(_greedy_cover_indices(geom, eps / 2)), res.cardinality)
+    upper = max(len(_greedy_net(geom, eps / 2, geom.order)), res.cardinality)
     lower_method = "greedy-packing" + ("|exhaustive-partial" if geom.small else "")
     return Bracket(float(res.cardinality), float(upper),
                    lower_method=lower_method, upper_method="half-radius-cover")
@@ -477,7 +463,7 @@ def _inner_entropy_search(geom: _Geom, target: int, hi0: float) -> float | None:
     while lo < hi:
         mid = (lo + hi) // 2
         eps = spectrum[mid]
-        if len(_greedy_cover_indices(geom, eps, stop_after=target)) <= target:
+        if len(_greedy_net(geom, eps, geom.order, stop_after=target)) <= target:
             hi = mid
             continue
         count, complete = _inner_cover_bnb(geom, eps, target + 1)
@@ -540,7 +526,7 @@ def entropy_number(K: CompactSetModel, n: int, inner: bool = True) -> Bracket:
 
     def no_certificate(eps: float) -> bool:
         # any 2eps-packing larger than the ball budget rules the radius out
-        return len(_greedy_packing_indices(geom, 2 * eps, stop_after=target)) <= target
+        return len(_greedy_net(geom, 2 * eps, range(geom.m), stop_after=target)) <= target
 
     start = upper * _TOL * 1e-3
     lower = 0.0 if no_certificate(start) else _bisect(no_certificate, start, upper)[0]

@@ -210,11 +210,10 @@ def check_generalized_carl(e_series, d_series, r: float, schedule,
 
 def _fit_width_chain(K: CompactSetModel, n: int, N: int, seed: int):
     """The width chain's fit: (s, scaled, wr) with s the sup-norm of K,
-    scaled the cloud of K over s (K's cloud itself when s is 0) and wr the
-    N-subspace width fit of scaled's points in the euclidean norm."""
-    cloud = K.as_cloud()
-    s = sup_norm(cloud)
-    scaled = scale_set(cloud, 1.0 / s) if s else cloud
+    scaled K over s (K itself when s is 0) and wr the N-subspace width fit
+    of scaled's points in the euclidean norm."""
+    s = sup_norm(K)
+    scaled = scale_set(K, 1.0 / s) if s else K
     return s, scaled, nonlinear_width(CompactSetModel.cloud(scaled.points, label=scaled.label),
                                       n, N, seed=seed)
 
@@ -261,16 +260,15 @@ def check_entropy_from_width(K: CompactSetModel, n: int, N: int, seed: int = 0) 
     """Packing route from a width bound to an entropy bound: with eps just
     above the N-subspace width and mu the exact 3eps-packing size, the
     ceil(log2 mu)-th inner entropy number must be at most 3eps."""
-    cloud = K.as_cloud()
     window = (n, N)
     # the norm supremum bounds the enclosing-ball radius (center 0 is admissible)
-    rad_upper = sup_norm(cloud)
+    rad_upper = sup_norm(K)
     applied_scale = 1.0
     if rad_upper >= 1.0:
         applied_scale = 0.9 / rad_upper
-        cloud = scale_set(cloud, applied_scale)
+        K = scale_set(K, applied_scale)
     try:
-        wr = nonlinear_width(cloud, n, N, seed=seed)
+        wr = nonlinear_width(K, n, N, seed=seed)
     except ValueError as exc:
         return Verdict("entropy-from-width", INDETERMINATE, None, window,
                        f"solver guard: {exc}")
@@ -278,15 +276,15 @@ def check_entropy_from_width(K: CompactSetModel, n: int, N: int, seed: int = 0) 
     if eps >= 1.0:
         extra = 0.5 / eps
         applied_scale *= extra
-        cloud = scale_set(cloud, extra)
+        K = scale_set(K, extra)
         eps *= extra
-    mu_br = packing_number(cloud, 3 * eps)
+    mu_br = packing_number(K, 3 * eps)
     if not mu_br.exact:
         return Verdict("entropy-from-width", INDETERMINATE, None, window,
                        "packing not exact at requested scale")
     mu = int(round(mu_br.upper))
     m_ent = max(0, math.ceil(math.log2(mu))) if mu > 1 else 0
-    te = entropy_number(cloud, m_ent, inner=True)
+    te = entropy_number(K, m_ent, inner=True)
     c_implied = eps * (mu / N) ** (1.0 / n)
     details = (f"scale={applied_scale:.6g}, eps={eps:.6g}, mu={mu}, "
                f"entropy index {m_ent}, inner entropy upper {te.upper:.6g}")

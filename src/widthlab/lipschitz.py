@@ -501,7 +501,7 @@ def fixed_width_upper(K: CompactSetModel, spec: LipschitzMapSpec) -> float:
     whose anchor needs no radial pull, and on the max-norm John charts of a
     set of sup-norm at most 1 (John's theorem puts every nearest point of
     the span inside the image).  Otherwise it is an upper bound on it."""
-    F = K.as_cloud().points
+    F = K.points
     best = np.full(len(F), math.inf)
     for j in range(len(spec.charts)):
         for i, z in enumerate(spec._anchors(F, j)):

@@ -170,7 +170,7 @@ def build_set(cfg: ExperimentConfig) -> CompactSetModel:
     if set_kind == "ksigma":
         alpha = _option(cfg, "alpha", 1.0, float)
         J = _option(cfg, "truncation", 33, _count)
-        K = CompactSetModel.ksigma(alpha, J).as_cloud()
+        K = CompactSetModel.ksigma(alpha, J)
     elif set_kind == "cloud":
         m = _option(cfg, "cloud_points", 32, _count)
         d = _option(cfg, "cloud_dim", 3, _count)

@@ -1,9 +1,10 @@
 """Normed-space models, finite point-set containers, and elementary exact geometry.
 
-Everything downstream (covering numbers, widths, Lipschitz maps) works on two
-set models: an explicit finite point cloud in a normed R^d, or the analytic
-sequence family ``{s_j e_j} U {0}`` with s_j = 1/[log2 log2 (j+3)]^alpha,
-truncated at a caller-chosen index J.  All operations here are pure functions
+Everything downstream (covering numbers, widths, Lipschitz maps) works on one
+set model: a finite point cloud in a normed R^d.  The analytic sequence
+family ``{s_j e_j} U {0}`` with s_j = 1/[log2 log2 (j+3)]^alpha, truncated at
+a caller-chosen index J, is built as its cloud in R^J and keeps its
+parameters for the closed-form paths.  All operations here are pure functions
 on immutable inputs.  One away-step simplex ascent (``_away_step_simplex``)
 solves the euclidean enclosing ball here and the John ellipsoid in lipschitz.
 The enclosing ball of an l_p cloud comes from a small convex solve: an LP on
@@ -55,10 +56,13 @@ class NormSpec:
             if self.p is None or not (1.0 <= self.p < math.inf):
                 raise ValueError(
                     'pnorm requires an exponent 1 <= p < inf; use kind="max" for p = inf')
+            if self.p == 2.0:  # one spelling of l2, so every path sees one norm
+                object.__setattr__(self, "kind", "euclidean")
+                object.__setattr__(self, "p", None)
 
     @property
     def is_euclidean(self) -> bool:
-        return self.kind == "euclidean" or (self.kind == "pnorm" and self.p == 2.0)
+        return self.kind == "euclidean"
 
     def norm(self, x: np.ndarray) -> float | np.ndarray:
         """Norm of a vector, or row-wise norms of a 2-d array."""
@@ -194,18 +198,18 @@ def sigma_pow2_index(alpha: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class CompactSetModel:
-    """A finite point cloud, or the truncated coordinate sequence family.
+    """A finite point cloud in a normed R^d.
 
-    The sequence variant keeps its analytic parameters so closed-form paths
-    stay available after embedding into a cloud; ``tail_gap`` records the
-    norm of the first dropped element (the retained point 0 is within that
-    distance of every dropped point).
+    The truncated coordinate sequence family is the cloud of its embedding,
+    built by ``ksigma``, and keeps its analytic parameters so that the
+    closed-form paths stay available; ``tail_gap`` records the norm of the
+    first dropped element (the retained point 0 is within that distance of
+    every dropped point).
     """
 
-    kind: str  # "cloud" | "ksigma"
     label: str
-    points: np.ndarray | None = None
-    norm: NormSpec | None = None
+    points: np.ndarray
+    norm: NormSpec
     alpha: float | None = None
     truncation: int | None = None
     sigma_scale: float = 1.0
@@ -224,24 +228,27 @@ class CompactSetModel:
             raise ValueError(f"cloud row {bad[0]} has a non-finite coordinate: {pts[bad[0]]}")
         pts = pts.copy()
         pts.flags.writeable = False
-        return CompactSetModel(kind="cloud", label=label, points=pts, norm=norm)
+        return CompactSetModel(label=label, points=pts, norm=norm)
 
     @staticmethod
     def ksigma(alpha: float, truncation: int, label: str | None = None) -> "CompactSetModel":
+        """The sequence family embedded as s_j e_j (j = 1..J) plus 0 in R^J."""
         if alpha <= 0:
             raise ValueError("alpha must be positive")
         if truncation < 1:
             raise ValueError("truncation must be >= 1")
-        label = label or f"ksigma(alpha={alpha:g},J={truncation})"
-        return CompactSetModel(
-            kind="ksigma", label=label, alpha=alpha, truncation=truncation
-        )
+        J = truncation
+        pts = np.zeros((J + 1, J))
+        pts[np.arange(J), np.arange(J)] = [sigma_value(alpha, j) for j in range(1, J + 1)]
+        pts.flags.writeable = False
+        return CompactSetModel(label=label or f"ksigma(alpha={alpha:g},J={J})", points=pts,
+                               norm=euclidean(J), alpha=alpha, truncation=J)
 
     # -- shared views ------------------------------------------------------
 
     @property
     def is_ksigma(self) -> bool:
-        return self.kind == "ksigma" or (self.kind == "cloud" and self.alpha is not None)
+        return self.alpha is not None
 
     def sigmas(self) -> np.ndarray:
         """The retained sequence values s_1..s_J (scaled, for scaled embeddings)."""
@@ -259,53 +266,26 @@ class CompactSetModel:
             return 0.0
         return abs(self.sigma_scale) * sigma_value(self.alpha, self.truncation + 1)
 
-    def as_cloud(self) -> "CompactSetModel":
-        """Embed the sequence family as s_j e_j (j = 1..J) plus 0 in R^J."""
-        return self if self.kind == "cloud" else self._embedding
-
-    @cached_property
-    def _embedding(self) -> "CompactSetModel":
-        """The sequence family's cloud, built once per model so that per-model
-        caches such as ``ball_center`` carry across calls."""
-        J = self.truncation
-        pts = np.zeros((J + 1, J))
-        s = self.sigmas()
-        pts[np.arange(J), np.arange(J)] = s
-        pts.flags.writeable = False
-        return CompactSetModel(
-            kind="cloud",
-            label=self.label,
-            points=pts,
-            norm=euclidean(J),
-            alpha=self.alpha,
-            truncation=self.truncation,
-            sigma_scale=self.sigma_scale,
-        )
-
     @property
     def size(self) -> int:
-        return self.as_cloud().points.shape[0]
+        return self.points.shape[0]
 
     @cached_property
     def ball_center(self) -> np.ndarray:
         """Center of the euclidean minimum enclosing ball of the points,
         computed once per model (read-only)."""
-        c, _, _ = minimum_enclosing_ball(self.as_cloud().points)
+        c, _, _ = minimum_enclosing_ball(self.points)
         c.flags.writeable = False
         return c
 
 
 def sup_norm(K: CompactSetModel) -> float:
-    """sup of the norm over the set; s_1 (scaled) for the sequence family."""
-    if K.kind == "ksigma":
-        return abs(K.sigma_scale) * sigma_value(K.alpha, 1)
+    """sup of the norm over the set's points."""
     return float(np.max(K.norm.norm(K.points)))
 
 
 def scale_set(K: CompactSetModel, t: float) -> CompactSetModel:
-    """Pointwise dilation t*K of a cloud (used by homogeneity checks)."""
-    if K.kind != "cloud":
-        raise ValueError("scale_set requires the cloud variant; embed first")
+    """Pointwise dilation t*K (used by homogeneity checks)."""
     pts = K.points * t
     pts.flags.writeable = False
     return replace(
@@ -476,7 +456,6 @@ def chebyshev_radius(K: CompactSetModel) -> Bracket:
     measured from the center of a convex solve (``_pnorm_center``); like the
     euclidean sides, they make an exact bracket when they agree (``Bracket``).
     """
-    K = K.as_cloud()
     pts = K.points
     if pts.shape[0] == 1:
         return Bracket.exactly(0.0, "single-point")

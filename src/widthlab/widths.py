@@ -3,11 +3,12 @@
 Upper bounds come from seeded heuristics (spectral initialization plus a
 softmax-reweighted minimax refinement; alternating fit/assign for subspace
 families), lower bounds from the mean-square spectral argument
-d_n >= sqrt(sum_{j>n} s_j^2 / m).  Exact paths: rank reduction, a search
-over the set partitions of tiny clouds, and codimension 1: in any norm,
-min_w max_i |w . x_i| / |w|_q (q the dual exponent) is the inradius of
-conv(+-X), the least b_j / |a_j|_q over its facets a_j . x <= b_j
-(``spaces._symmetric_facets``), attained by the hyperplane along that facet.
+d_n >= sqrt(sum_{j>n} s_j^2 / m), less the SVD's rounding.  Exact paths:
+rank reduction, a search over the set partitions of tiny clouds, and
+codimension 1: in any norm, min_w max_i |w . x_i| / |w|_q (q the dual
+exponent) is the inradius of conv(+-X), the least b_j / |a_j|_q over its
+facets a_j . x <= b_j (``spaces._symmetric_facets``), attained by the
+hyperplane along that facet.
 
 A family search fits many point subsets, bitwise as each would be fitted
 alone: the subsets of one size are scaled, snapped and reduced by one stacked
@@ -68,11 +69,10 @@ class SubspaceFamily:
     def distances(self, K: CompactSetModel) -> np.ndarray:
         """Each point's distance to its subspace in the model's norm, one
         solve per subspace."""
-        cloud = K.as_cloud()
-        out = np.zeros(len(cloud.points))
+        out = np.zeros(len(K.points))
         for k, V in enumerate(self.bases):
             if (rows := self.assignment == k).any():
-                out[rows] = _dists(cloud.points[rows], V, cloud.norm)
+                out[rows] = _dists(K.points[rows], V, K.norm)
         return out
 
     def validate(self, K: CompactSetModel, tol: float = 1e-10) -> bool:
@@ -325,6 +325,18 @@ def _exact_fit(P: np.ndarray, V: np.ndarray, scale: float, snap_val: float):
     return V, val, max(0.0, (scale * snap_val - slack) * (1 - 1e-10))
 
 
+def _spectral_lower(P: np.ndarray, k: int) -> float:
+    """sqrt(sum_{j>k} s_j^2 / m) over the singular values s of P, less a
+    rounding margin: no k-dimensional subspace lies closer to the rows of P
+    in mean square.  Each computed s_j is lowered by max(m, d) eps s_1, the
+    float SVD's bound that numpy's matrix_rank also takes, and the sum by
+    its own relative error, as in ``spaces._dual_radius``."""
+    (m, d), eps = P.shape, np.finfo(float).eps
+    S = np.linalg.svd(P, compute_uv=False)
+    tail = np.maximum(S[k:] - max(m, d) * eps * S[0], 0.0)
+    return math.sqrt(float(np.sum(tail**2)) / m * (1 - 4 * (len(tail) + 1) * eps))
+
+
 def linear_width(
     K: CompactSetModel,
     n: int,
@@ -342,34 +354,29 @@ def linear_width(
     full-rank cloud, they take the facet hyperplane in the dual norm instead,
     measured in the norm, over the inradius less a rounding margin.
     """
-    cloud = K.as_cloud()
-    P = cloud.points
+    P = K.points
     m, d = P.shape
     if n > d:
         raise ValueError(f"n={n} exceeds ambient dimension {d}")
     if n < 0:
         raise ValueError("n must be >= 0")
 
-    euclid = cloud.norm.is_euclidean
     if n == 0:
-        v = sup_norm(cloud)
+        v = sup_norm(K)
         fam = SubspaceFamily((np.zeros((d, 0)),), np.zeros(m, dtype=int), v)
         return WidthResult(Bracket.exactly(v, "sup-norm"), fam, 0)
 
-    S = np.linalg.svd(P, compute_uv=False)
-    tail = S[n:] if n < len(S) else np.zeros(0)
-    spectral = math.sqrt(float(np.sum(tail**2)) / m)
-
-    if not euclid:
+    spectral = _spectral_lower(P, n)
+    if not K.norm.is_euclidean:
         # 1/p, with 1/p = 0 for the max norm
-        inv_p = 0.0 if cloud.norm.kind == "max" else 1.0 / cloud.norm.p
+        inv_p = 0.0 if K.norm.kind == "max" else 1.0 / K.norm.p
         G = _symmetric_facets(P) if n == d - 1 and d <= _FACET_RANK_LIMIT else None
         if G is not None:
             # dual exponent q: 1 for the max norm, inf for l1
             norms = np.linalg.norm(G, ord=1.0 / (1.0 - inv_p) if inv_p < 1.0 else math.inf, axis=1)
             j = int(np.argmax(norms))
             V = _orthonormal_extend(G[j, :, None] / np.linalg.norm(G[j]), d)[:, 1:]
-            val = float(_dists(P, V, cloud.norm).max())
+            val = float(_dists(P, V, K.norm).max())
             lower = (1 - 1e-10) / float(norms[j])
             if lower <= val:
                 return WidthResult(
@@ -377,7 +384,7 @@ def linear_width(
                             upper_method="facet-hyperplane"),
                     SubspaceFamily((V,), np.zeros(m, dtype=int), val), 0)
         [(V, _, _)] = _fit_subspaces([P], n, [seed], restarts)
-        val = float(_dists(P, V, cloud.norm).max())
+        val = float(_dists(P, V, K.norm).max())
         fam = SubspaceFamily((V,), np.zeros(m, dtype=int), val)
         # |x|_p >= d^min(0, 1/p - 1/2) |x|_2
         lower = spectral * d ** min(0.0, inv_p - 0.5)
@@ -612,19 +619,14 @@ def nonlinear_width(
     if N == 1:
         return linear_width(K, n, seed=seed, restarts=restarts)
 
-    cloud = K.as_cloud()
-    P = cloud.points
+    P = K.points
     m, d = P.shape
     if n > d:
         raise ValueError(f"n={n} exceeds ambient dimension {d}")
-    euclid = cloud.norm.is_euclidean
-    if not euclid:
+    if not K.norm.is_euclidean:
         raise ValueError("nonlinear_width requires a euclidean cloud")
 
-    S = np.linalg.svd(P, compute_uv=False)
-    k = n * N
-    tail = S[k:] if k < len(S) else np.zeros(0)
-    lower = math.sqrt(float(np.sum(tail**2)) / m)
+    lower = _spectral_lower(P, n * N)
 
     cache = _ClusterCache(P, n, seed)
 

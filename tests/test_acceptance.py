@@ -314,7 +314,7 @@ def test_acceptance_07_john_sandwich():
 
 def test_acceptance_08_entropy_from_width():
     failures = []
-    K = scale_set(CompactSetModel.ksigma(1.0, truncation=65).as_cloud(), 0.5)
+    K = scale_set(CompactSetModel.ksigma(1.0, truncation=65), 0.5)
     v = check_entropy_from_width(K, 2, 2, seed=0)
     if v.status != HOLDS:
         failures.append(f"sequence family: {v.status}")

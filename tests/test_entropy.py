@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from widthlab import entropy, spaces
@@ -100,9 +100,8 @@ def test_min_cover_ksigma_truncation():
     # truncated family (every s_j e_j has norm at most s_1 = 1 <= 1.05)
     K = CompactSetModel.ksigma(alpha=1.0, truncation=40)
     br = cover_number(K, 1.05, inner=True)
-    pts = K.as_cloud().points
     assert br.exact
-    assert br.upper == exhaustive_min_cover(pts, 1.05) == 1.0
+    assert br.upper == exhaustive_min_cover(K.points, 1.05) == 1.0
     # the greedy largest-first cover ignores the zero hub; its 2-ball radius
     # threshold is the nested-cover closed form, which exceeds 1.05
     assert greedy_cover(K, 1.05).cardinality > 2
@@ -260,12 +259,38 @@ def test_ksigma_greedy_matches_nested_cover_radius():
 
 def test_ksigma_packing_formula_vs_exhaustive():
     K = CompactSetModel.ksigma(1.0, truncation=12)
-    pts = K.as_cloud().points
     for eps in (0.2, 0.5, 0.7, 0.9, 1.1, 1.3):
-        assert ksigma_packing_count(K.as_cloud(), eps) == exhaustive_max_packing(pts, eps)
-    half = scale_set(K.as_cloud(), 0.5)
+        assert ksigma_packing_count(K, eps) == exhaustive_max_packing(K.points, eps)
+    half = scale_set(K, 0.5)
     for eps in (0.3, 0.45, 0.6):
         assert ksigma_packing_count(half, eps) == exhaustive_max_packing(half.points, eps)
+
+
+@pytest.mark.parametrize("t", [0.5, 2.0])
+def test_packing_number_of_a_dilated_sequence_model(t):
+    # the closed form reads the dilated sequence, so t K at t eps packs as K at eps
+    K = CompactSetModel.ksigma(1.0, truncation=40)
+    for eps in (0.2, 0.5, 0.7, 0.9, 1.1, 1.3, 1.5):
+        br = packing_number(scale_set(K, t), t * eps)
+        assert br == packing_number(K, eps)
+        assert br.exact and br.lower_method == "sequence-closed-form"
+
+
+def test_l2_pnorm_is_the_euclidean_norm():
+    # one spelling of l2: a p = 2 cloud takes every euclidean path
+    assert NormSpec("pnorm", 3, p=2.0) == NormSpec("euclidean", 3)
+    rng = np.random.default_rng(23)
+    for m in (20, 80):
+        pts = rng.normal(size=(m, 3))
+        l2 = CompactSetModel.cloud(pts, NormSpec("pnorm", 3, p=2.0))
+        euc = CompactSetModel.cloud(pts)
+        assert chebyshev_radius(l2) == chebyshev_radius(euc)
+        for eps in (0.5, 1.5):
+            for inner in (True, False):
+                assert cover_number(l2, eps, inner) == cover_number(euc, eps, inner)
+        for n in (1, 2):
+            for inner in (True, False):
+                assert entropy_number(l2, n, inner) == entropy_number(euc, n, inner)
 
 
 def test_packing_number_bracket():
@@ -334,14 +359,19 @@ def euclidean_block_radius(P):
     if len(P) == 1:
         return 0.0
     circles = [(0.5 * (a + b), 0.5 * math.dist(a, b)) for a, b in itertools.combinations(P, 2)]
+    diameter = 2 * max(r for _, r in circles)
     for a, b, c in itertools.combinations(P, 3):
         d = 2 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
         if d == 0:
             continue
         aa, bb, cc = a @ a, b @ b, c @ c
-        center = np.array([aa * (b[1] - c[1]) + bb * (c[1] - a[1]) + cc * (a[1] - b[1]),
-                           aa * (c[0] - b[0]) + bb * (a[0] - c[0]) + cc * (b[0] - a[0])]) / d
-        circles.append((center, math.dist(center, a)))
+        with np.errstate(over="ignore"):  # a nearly collinear triple: checked below
+            center = np.array([aa * (b[1] - c[1]) + bb * (c[1] - a[1]) + cc * (a[1] - b[1]),
+                               aa * (c[0] - b[0]) + bb * (a[0] - c[0]) + cc * (b[0] - a[0])]) / d
+        r = math.dist(center, a) if np.isfinite(center).all() else math.inf
+        # a circle wider than the block is never its smallest enclosing one
+        if r <= diameter:
+            circles.append((center, r))
     return min(r for center, r in circles
                if np.all(np.linalg.norm(P - center, axis=1) <= r * (1 + 1e-12) + 1e-12))
 
@@ -367,12 +397,15 @@ def brute_outer(P, block_radius, eps):
     return counts, entropy_values
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     st.lists(st.tuples(st.floats(-4, 4), st.floats(-4, 4)), min_size=1, max_size=7),
     st.sampled_from(sorted(BLOCK_RADIUS)),
     st.floats(0.05, 5),
 )
+# a nearly collinear triple, whose circumcenter lies near 1e301
+@example([(0.0, 0.0), (1.0, 9.03e-302), (2.0, 0.0)], "euclidean", 1.0)
 def test_outer_brackets_hold_brute_force(pts, kind, eps):
     K = CompactSetModel.cloud(pts, NormSpec(kind, 2))
     # the count at eps(1 -+ 1e-9) bounds the one at eps whatever the rounding
@@ -514,11 +547,10 @@ class FullMatrixGeom:
     call, every row and the one-center radius read from it."""
 
     def __init__(self, K, keep_rows=False):
-        cloud = K.as_cloud()
-        self.model, self.pts, self.norm = cloud, cloud.points, cloud.norm
+        self.model, self.pts, self.norm = K, K.points, K.norm
         self.m = self.pts.shape[0]
-        self.D = cloud.norm.pairwise(self.pts)
-        self.norms = np.asarray(cloud.norm.norm(self.pts), dtype=float).reshape(-1)
+        self.D = K.norm.pairwise(self.pts)
+        self.norms = np.asarray(K.norm.norm(self.pts), dtype=float).reshape(-1)
         self.order = np.lexsort((np.arange(self.m), -self.norms))
         self.small = self.m <= entropy.EXACT_POINT_LIMIT
 
@@ -643,7 +675,6 @@ def test_sequence_embedding_is_cached(monkeypatch):
 
     monkeypatch.setattr(spaces, "minimum_enclosing_ball", counting)
     K = CompactSetModel.ksigma(1.0, 24)
-    assert K.as_cloud() is K.as_cloud()
     for n in (1, 2, 3):
         entropy_number(K, n, inner=False)
     assert len(calls) == 1
@@ -786,14 +817,16 @@ def test_entropy_of_few_distinct_points_is_exactly_zero():
 
 
 def test_cover_number_packs_only_on_the_fallback_path(monkeypatch):
+    # packings are the greedy walk in index order, covers walk the greedy order
     calls = []
-    packing = entropy._greedy_packing_indices
+    walk = entropy._greedy_net
 
-    def counting(geom, eps, stop_after=None):
-        calls.append(eps)
-        return packing(geom, eps, stop_after)
+    def counting(geom, eps, order, stop_after=None):
+        if isinstance(order, range):
+            calls.append(eps)
+        return walk(geom, eps, order, stop_after)
 
-    monkeypatch.setattr(entropy, "_greedy_packing_indices", counting)
+    monkeypatch.setattr(entropy, "_greedy_net", counting)
     K = CompactSetModel.cloud(np.random.default_rng(5).normal(size=(30, 3)))
     assert cover_number(K, 1.0).exact and calls == []
     assert not cover_number(K, 1.0, inner=False).exact and calls == [2.0]

@@ -173,7 +173,7 @@ def test_entropy_from_width_trivial_and_small():
 
 
 def test_entropy_from_width_ksigma():
-    K = scale_set(CompactSetModel.ksigma(1.0, truncation=65).as_cloud(), 0.5)
+    K = scale_set(CompactSetModel.ksigma(1.0, truncation=65), 0.5)
     v = check_entropy_from_width(K, 2, 2, seed=0)
     assert v.status == HOLDS
 

@@ -404,7 +404,7 @@ def test_fixed_width_is_the_largest_chart_span_distance(n):
     # the cloud lies in the euclidean unit ball, so every anchor of these
     # maps is the nearest point of its chart's span: no pull is needed
     K, specs = _fitted_specs(n)
-    F = K.as_cloud().points
+    F = K.points
     for spec in specs:
         want = float(_chart_distances(F, spec).max())
         assert fixed_width_upper(K, spec) == pytest.approx(want, rel=1e-12), (
@@ -444,7 +444,7 @@ def test_fixed_width_on_sampled_l15_john_charts():
     # 200 golden-section coordinate descents from the least-squares anchors
     # read 0.091896748684701 here
     assert got <= 0.091896748684701
-    assert got == pytest.approx(float(_chart_distances(K.as_cloud().points, xi).max()),
+    assert got == pytest.approx(float(_chart_distances(K.points, xi).max()),
                                 rel=1e-12)
 
 

@@ -117,13 +117,18 @@ def test_sigma_sequence():
         assert sigma_pow2_index(1.0, n) == pytest.approx(sigma_value(1.0, 2.0**n), rel=1e-12)
 
 
-def test_ksigma_embedding():
-    K = CompactSetModel.ksigma(alpha=1.0, truncation=10)
-    C = K.as_cloud()
-    assert C.points.shape == (11, 10)
-    assert np.allclose(np.linalg.norm(C.points, axis=1)[:-1], K.sigmas())
-    assert np.all(C.points[-1] == 0.0)
-    assert C.tail_gap == pytest.approx(sigma_value(1.0, 11))
+@pytest.mark.parametrize("alpha, J", [(1.0, 10), (0.5, 1), (2.5, 33), (1.0, 72)])
+def test_ksigma_embedding(alpha, J):
+    # the sequence model is its cloud: s_j e_j (j = 1..J) and 0, in R^J
+    K = CompactSetModel.ksigma(alpha, J)
+    want = np.zeros((J + 1, J))
+    want[np.arange(J), np.arange(J)] = [sigma_value(alpha, j) for j in range(1, J + 1)]
+    assert K.points.shape == (J + 1, J) and K.points.tobytes() == want.tobytes()
+    assert K.norm == NormSpec("euclidean", J) and K.is_ksigma
+    assert K.tail_gap == sigma_value(alpha, J + 1)
+    assert sup_norm(K) == sigma_value(alpha, 1)
+    for t in (0.5, -2.0, 3.0):
+        assert sup_norm(scale_set(K, t)) == abs(t) * sigma_value(alpha, 1)
 
 
 def test_chebyshev_two_points():
@@ -377,8 +382,11 @@ def test_scale_set():
     assert np.allclose(scale_set(K, 2.0).points, 2 * K.points)
     assert np.allclose(scale_set(K, -1.0).points, -K.points)
     assert np.all(scale_set(CompactSetModel.cloud([[1, 1]]), 0.0).points == 0.0)
-    with pytest.raises(ValueError):
-        scale_set(CompactSetModel.ksigma(1.0, 5), 2.0)
+    # the sequence model dilates as a cloud, and its sequence with it
+    seq = CompactSetModel.ksigma(1.0, 5)
+    dilated = scale_set(seq, 2.0)
+    assert np.array_equal(dilated.points, 2 * seq.points) and dilated.is_ksigma
+    assert np.array_equal(dilated.sigmas(), 2 * seq.sigmas())
 
 
 def test_scale_homogeneity_of_sup_norm():

@@ -423,16 +423,15 @@ def test_low_rank_cloud_is_read_above_the_snap_noise():
     A, B = rng.normal(size=(6, 2)), rng.normal(size=(2, 5))
     X = A @ B
     br = linear_width(CompactSetModel.cloud(X), 2).bracket
-    # [2.4e-16, 6.1e-11]: the snap's noise sizes the upper side, so it is not
+    # [0, 6.1e-11]: the snap's noise sizes the upper side, so it is not
     # exact, though the old absolute rule flagged it
     assert br.lower_method == "exact-path" and not br.exact
     # the width is at most h = 1.7e-16, the rounded points' exact distance to
     # B's row space, and the upper side is above it; the lower side, the
-    # spectral one, carries the float SVD's rounding, about eps |X|, and no
-    # margin for it, so it is held below h to that rounding
+    # spectral one, takes off the float SVD's rounding, so it is below h
     h_sq = _exact_row_space_dist_sq(X, B)
     assert h_sq <= Fraction(br.upper) ** 2
-    assert br.lower <= math.sqrt(h_sq) + np.finfo(float).eps * np.linalg.norm(X, 2)
+    assert br.lower <= math.sqrt(h_sq)
 
 
 def _exact_inradius_sq(X):
